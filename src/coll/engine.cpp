@@ -30,6 +30,8 @@
 #include <vector>
 
 #include "detail/state.hpp"
+#include "detail/tree.hpp"
+#include "nbc_sched.hpp"
 #include "sessmpi/base/stats.hpp"
 #include "sessmpi/base/yield.hpp"
 #include "sessmpi/coll/plan.hpp"
@@ -47,6 +49,7 @@ using coll::Slot;
 using detail::CommState;
 using detail::ProcState;
 using detail::RequestPtr;
+using detail::Tree;
 
 namespace {
 
@@ -114,23 +117,6 @@ const std::shared_ptr<CommState>& coll_state(
 std::uint32_t next_seq(const std::shared_ptr<CommState>& s) {
   std::lock_guard lock(s->ps->mu);
   return s->coll_seq++;
-}
-
-/// Binomial-tree parent/children of `vrank` (virtual rank, root at 0).
-void tree(int vrank, int size, int* parent, std::vector<int>* children) {
-  *parent = -1;
-  int mask = 1;
-  while (mask < size) {
-    if ((vrank & mask) != 0) {
-      *parent = vrank & ~mask;
-      return;
-    }
-    const int child = vrank | mask;
-    if (child < size) {
-      children->push_back(child);
-    }
-    mask <<= 1;
-  }
 }
 
 /// Leader of `node`, except the root leads its own node so rooted
@@ -344,69 +330,16 @@ void check_req(const Ctx& c, const RequestPtr& req, const char* what) {
 
 // --- hierarchical algorithms ------------------------------------------------
 
-/// Cross-node barrier among the node leaders: binomial fan-in/fan-out over
-/// node indices. Mirrors the nonblocking barrier's failure protocol: a
-/// 1-byte payload on an expected-empty edge is the poison marker, and an
-/// abort floods markers down the remaining edges (never back the edge the
-/// poison arrived on).
-void head_barrier(const Ctx& c, int tag) {
-  const int nh = static_cast<int>(c.p.leaders.size());
-  int parent = -1;
-  std::vector<int> children;
-  tree(c.p.my_node, nh, &parent, &children);
-  std::byte token{};
-  int bad_edge = -1;  // node index whose edge delivered a poison marker
-  try {
-    for (int child : children) {
-      bad_edge = child;
-      Status st = c.ps.blocking_recv(c.s, &token, 1, Datatype::byte(),
-                                     c.p.leaders[static_cast<std::size_t>(child)],
-                                     tag);
-      if (st.count_bytes > 0) {
-        poison_throw(c, ErrClass::rte_proc_failed, "barrier peer aborted");
-      }
-      bad_edge = -1;
-    }
-    if (parent >= 0) {
-      const int pr = c.p.leaders[static_cast<std::size_t>(parent)];
-      c.ps.blocking_send(c.s, nullptr, 0, Datatype::byte(), pr, tag, false);
-      note_wire(c.ps, *c.s, pr, 0);
-      bad_edge = parent;
-      Status st = c.ps.blocking_recv(c.s, &token, 1, Datatype::byte(), pr, tag);
-      if (st.count_bytes > 0) {
-        poison_throw(c, ErrClass::rte_proc_failed, "barrier peer aborted");
-      }
-      bad_edge = -1;
-    }
-    for (int child : children) {
-      const int cr = c.p.leaders[static_cast<std::size_t>(child)];
-      c.ps.blocking_send(c.s, nullptr, 0, Datatype::byte(), cr, tag, false);
-      note_wire(c.ps, *c.s, cr, 0);
-    }
-  } catch (const Error& e) {
-    if (e.error_class() != ErrClass::comm_revoked) {
-      // A revocation already floods itself; everything else must be walked
-      // down the tree so no surviving leader keeps waiting on us.
-      static const std::byte kPoison{1};
-      fabric::Fabric& fab = c.ps.proc.cluster().fabric();
-      auto flood = [&](int node) {
-        if (node == bad_edge) {
-          return;  // that leader already aborted and freed its receives
-        }
-        const int r = c.p.leaders[static_cast<std::size_t>(node)];
-        if (!fab.is_failed(c.s->global_of(r))) {
-          c.ps.isend_impl(c.s, &kPoison, 1, Datatype::byte(), r, tag, false);
-        }
-      };
-      if (parent >= 0) {
-        flood(parent);
-      }
-      for (int child : children) {
-        flood(child);
-      }
-    }
-    throw;
-  }
+/// Cross-node barrier among the node leaders: the nonblocking barrier
+/// schedule over a binomial tree of node indices, waited on here. Its abort
+/// path already carries a failure to every other leader.
+void head_barrier(const Ctx& c) {
+  const Tree t = detail::mapped_tree(
+      c.p.my_node, static_cast<int>(c.p.leaders.size()),
+      [&](int node) { return c.p.leaders[static_cast<std::size_t>(node)]; });
+  RequestPtr req = coll::start_barrier(c.ps, c.s, t, c.seq);
+  c.ps.progress_until([&] { return req->done(); });
+  check_req(c, req, "barrier peer aborted");
 }
 
 /// Hierarchical pipelined broadcast: binomial tree over node heads (large
@@ -429,23 +362,18 @@ void hier_bcast(const Ctx& c, void* buf, std::size_t bytes, int root) {
 
   const int my_head = head_of(p, p.my_node, root);
   if (c.s->myrank == my_head) {
-    const int vnode = (p.my_node - rootnode + nh) % nh;
-    int parent = -1;
-    std::vector<int> children;
-    tree(vnode, nh, &parent, &children);
-    const auto head_rank = [&](int v) {
-      return head_of(p, (v + rootnode) % nh, root);
-    };
+    const Tree t = detail::mapped_tree(
+        (p.my_node - rootnode + nh) % nh, nh,
+        [&](int v) { return head_of(p, (v + rootnode) % nh, root); });
     for (int si = 0; si < nseg; ++si) {
       const std::size_t off = static_cast<std::size_t>(si) * segsz;
       const std::size_t sb = std::min(segsz, bytes - off);
       const int tag = detail::internal_tag(c.seq, si);
-      if (parent >= 0) {
+      if (t.parent >= 0) {
         c.ps.blocking_recv(c.s, out + off, static_cast<int>(sb),
-                           Datatype::byte(), head_rank(parent), tag);
+                           Datatype::byte(), t.parent, tag);
       }
-      for (int child : children) {
-        const int cr = head_rank(child);
+      for (int cr : t.children) {
         c.ps.blocking_send(c.s, out + off, static_cast<int>(sb),
                            Datatype::byte(), cr, tag, false);
         note_wire(c.ps, *c.s, cr, sb);
@@ -496,22 +424,17 @@ void hier_reduce_commutative(const Ctx& c, const void* contrib, void* recvbuf,
     }
   }
 
-  const int vnode = (p.my_node - rootnode + nh) % nh;
-  int parent = -1;
-  std::vector<int> children;
-  tree(vnode, nh, &parent, &children);
-  const auto head_rank = [&](int v) {
-    return head_of(p, (v + rootnode) % nh, root);
-  };
-  std::vector<std::byte> tmp(children.empty() ? 0 : bytes);
-  for (int child : children) {
-    c.ps.blocking_recv(c.s, tmp.data(), count, dt, head_rank(child), tag);
+  const Tree t = detail::mapped_tree(
+      (p.my_node - rootnode + nh) % nh, nh,
+      [&](int v) { return head_of(p, (v + rootnode) % nh, root); });
+  std::vector<std::byte> tmp(t.children.empty() ? 0 : bytes);
+  for (int child : t.children) {
+    c.ps.blocking_recv(c.s, tmp.data(), count, dt, child, tag);
     op.apply(tmp.data(), acc.data(), count, dt);
   }
-  if (parent >= 0) {
-    const int pr = head_rank(parent);
-    c.ps.blocking_send(c.s, acc.data(), count, dt, pr, tag, false);
-    note_wire(c.ps, *c.s, pr, bytes);
+  if (t.parent >= 0) {
+    c.ps.blocking_send(c.s, acc.data(), count, dt, t.parent, tag, false);
+    note_wire(c.ps, *c.s, t.parent, bytes);
   } else {
     safe_copy(recvbuf, acc.data(), bytes);
   }
@@ -745,7 +668,7 @@ void hier_barrier(const Ctx& c) {
     }
   }
   if (nh > 1) {
-    head_barrier(c, detail::internal_tag(c.seq, 0));
+    head_barrier(c);
   }
   if (p.on_node > 1) {
     publish(c, 1, nullptr, 0, static_cast<std::uint32_t>(p.on_node - 1), 1);
@@ -1038,19 +961,16 @@ void flat_bcast(const Ctx& c, void* buf, int count, const Datatype& dt,
                 int root) {
   const int n = c.p.nranks;
   const int tag = detail::internal_tag(c.seq, 0);
-  const int vrank = (c.s->myrank - root + n) % n;
-  int parent = -1;
-  std::vector<int> children;
-  tree(vrank, n, &parent, &children);
-  const auto real = [&](int v) { return (v + root) % n; };
+  const Tree t = detail::mapped_tree((c.s->myrank - root + n) % n, n,
+                                     [&](int v) { return (v + root) % n; });
   const std::size_t bytes = static_cast<std::size_t>(count) * dt.extent();
 
-  if (parent >= 0) {
-    c.ps.blocking_recv(c.s, buf, count, dt, real(parent), tag);
+  if (t.parent >= 0) {
+    c.ps.blocking_recv(c.s, buf, count, dt, t.parent, tag);
   }
-  for (int child : children) {
-    c.ps.blocking_send(c.s, buf, count, dt, real(child), tag, false);
-    note_wire(c.ps, *c.s, real(child), bytes);
+  for (int child : t.children) {
+    c.ps.blocking_send(c.s, buf, count, dt, child, tag, false);
+    note_wire(c.ps, *c.s, child, bytes);
   }
 }
 
@@ -1088,20 +1008,17 @@ void flat_reduce(const Ctx& c, const void* contrib, void* recvbuf, int count,
 
   std::vector<std::byte> acc(bytes);
   safe_copy(acc.data(), contrib, bytes);
-  const int vrank = (c.s->myrank - root + n) % n;
-  int parent = -1;
-  std::vector<int> children;
-  tree(vrank, n, &parent, &children);
-  const auto real = [&](int v) { return (v + root) % n; };
+  const Tree t = detail::mapped_tree((c.s->myrank - root + n) % n, n,
+                                     [&](int v) { return (v + root) % n; });
 
   std::vector<std::byte> incoming(bytes);
-  for (int child : children) {
-    c.ps.blocking_recv(c.s, incoming.data(), count, dt, real(child), tag);
+  for (int child : t.children) {
+    c.ps.blocking_recv(c.s, incoming.data(), count, dt, child, tag);
     op.apply(incoming.data(), acc.data(), count, dt);
   }
-  if (parent >= 0) {
-    c.ps.blocking_send(c.s, acc.data(), count, dt, real(parent), tag, false);
-    note_wire(c.ps, *c.s, real(parent), bytes);
+  if (t.parent >= 0) {
+    c.ps.blocking_send(c.s, acc.data(), count, dt, t.parent, tag, false);
+    note_wire(c.ps, *c.s, t.parent, bytes);
   } else {
     safe_copy(recvbuf, acc.data(), bytes);
   }
@@ -1237,11 +1154,6 @@ void Communicator::barrier() const {
   } catch (const Error& e) {
     s->errh.raise(e.error_class(), "barrier aborted");
   }
-}
-
-Request Communicator::ibarrier() const {
-  const auto& s = coll_state(state_);
-  return Request{detail::make_ibarrier(*s->ps, s)};
 }
 
 void Communicator::bcast(void* buf, int count, const Datatype& dt,

@@ -1,24 +1,40 @@
-// Schedule-driven nonblocking collectives (MPI_Ibcast / MPI_Iallreduce).
+// Nonblocking collectives (MPI_Ibarrier / MPI_Ibcast / MPI_Iallreduce) and
+// the hierarchical engine's leader barrier: one schedule engine.
 //
-// Each operation builds a plan-shaped tree over pt2pt edges and installs an
-// NbcOp::advance closure that the progress engine drives to completion —
-// the nonblocking counterpart of the hierarchical blocking engine. NBC
-// schedules use only fabric edges (no shm publications): a nonblocking
+// Every operation is the same two-phase schedule, driven to completion by
+// the progress engine through NbcOp::advance:
+//   fan-in   a rank folds its up-children's partials into its own and sends
+//            the result to its up-parent (ibcast has no fan-in);
+//   fan-out  the value flows from the down-parent into the result buffer
+//            and on to the down-children.
+// Ibarrier and the leader barrier run it at count 0 over a binomial tree
+// rooted at member 0. Ibcast and commutative iallreduce run it over a
+// plan-shaped tree: members hang off their node head, and heads form a
+// binomial tree over node indices. Non-commutative iallreduce folds up the
+// strict rank-ordered chain 0 -> n-1 (bit-identical to the blocking path)
+// and fans out down a binomial tree rooted at n-1.
+//
+// Schedules use only fabric edges (no shm publications): a nonblocking
 // operation may complete from any thread's progress pass, so it cannot
 // owner-spin on a shared slot the way the blocking path does; the
 // hierarchy still cuts cross-node traffic to one message per node pair.
 //
-// Failure protocol: payload-carrying tree edges treat an *empty* message as
-// the poison marker (the inverse of Ibarrier, whose edges are expected-
-// empty and poisoned by a 1-byte payload). A rank that observes a failure
-// floods empty markers down its remaining edges and completes the request
-// with the error class, so no survivor waits on an aborted subtree.
+// Failure protocol. One poison rule: a marker is a message whose byte count
+// differs from what its edge expects — empty on payload edges, one byte on
+// count-0 edges, which post one byte of receive capacity for it. One abort
+// path: a rank that sees a failed or poisoned sub-receive floods markers
+// down every edge it still owes a message on (never to a failed rank, never
+// back to a rank that poisoned it), retires the sub-receives that still
+// wait for data and finishes the request with the error. Every survivor
+// learns of the abort the same way, and no sub-receive outlives its
+// operation.
+
+#include "nbc_sched.hpp"
 
 #include <cstring>
 #include <memory>
 #include <vector>
 
-#include "detail/state.hpp"
 #include "sessmpi/base/stats.hpp"
 #include "sessmpi/coll/plan.hpp"
 #include "sessmpi/comm.hpp"
@@ -28,7 +44,9 @@ namespace sessmpi {
 using detail::CommState;
 using detail::NbcOp;
 using detail::ProcState;
+using detail::RequestImpl;
 using detail::RequestPtr;
+using detail::Tree;
 
 namespace {
 
@@ -40,32 +58,24 @@ const std::shared_ptr<CommState>& nbc_state(
   return s;
 }
 
-void tree(int vrank, int size, int* parent, std::vector<int>* children) {
-  *parent = -1;
-  int mask = 1;
-  while (mask < size) {
-    if ((vrank & mask) != 0) {
-      *parent = vrank & ~mask;
-      return;
-    }
-    const int child = vrank | mask;
-    if (child < size) {
-      children->push_back(child);
-    }
-    mask <<= 1;
-  }
+std::uint32_t next_seq(const std::shared_ptr<CommState>& s) {
+  std::lock_guard lock(s->ps->mu);
+  return s->coll_seq++;
+}
+
+/// A request that is complete on creation (single-member communicators).
+RequestPtr done_request(ProcState& ps, const std::shared_ptr<CommState>& s) {
+  RequestPtr req = ps.make_request();
+  req->ps = &ps;
+  req->comm = s.get();
+  req->finish(Status{});
+  return req;
 }
 
 /// Plan-shaped tree for a rooted operation: members hang off their node
 /// head, heads form a binomial tree over node indices (virtual-rotated so
 /// the root's node is the tree root; the root itself leads its node).
-struct PlanTree {
-  int parent = -1;            ///< comm rank, -1 at the root
-  std::vector<int> children;  ///< comm ranks
-};
-
-PlanTree plan_tree(const coll::Plan& p, int myrank, int root) {
-  PlanTree t;
+Tree plan_tree(const coll::Plan& p, int myrank, int root) {
   const int nh = static_cast<int>(p.leaders.size());
   const int rootnode = p.node_of[static_cast<std::size_t>(root)];
   const auto head_of = [&](int node) {
@@ -74,19 +84,13 @@ PlanTree plan_tree(const coll::Plan& p, int myrank, int root) {
   };
   const int my_head = head_of(p.my_node);
   if (myrank != my_head) {
+    Tree t;
     t.parent = my_head;
     return t;
   }
-  const int vnode = (p.my_node - rootnode + nh) % nh;
-  int vparent = -1;
-  std::vector<int> vchildren;
-  tree(vnode, nh, &vparent, &vchildren);
-  if (vparent >= 0) {
-    t.parent = head_of((vparent + rootnode) % nh);
-  }
-  for (int vc : vchildren) {
-    t.children.push_back(head_of((vc + rootnode) % nh));
-  }
+  Tree t = detail::mapped_tree(
+      (p.my_node - rootnode + nh) % nh, nh,
+      [&](int v) { return head_of((v + rootnode) % nh); });
   for (int m : p.node_members[static_cast<std::size_t>(p.my_node)]) {
     if (m != myrank) {
       t.children.push_back(m);
@@ -95,303 +99,213 @@ PlanTree plan_tree(const coll::Plan& p, int myrank, int root) {
   return t;
 }
 
-/// True once `r` completed with a failure: an error status, or an empty
-/// payload on an edge that must carry data (the NBC poison marker).
-bool failed_edge(const RequestPtr& r, bool expects_payload) {
-  return r && r->done() &&
-         (r->status.error != ErrClass::success ||
-          (expects_payload && r->status.count_bytes == 0));
-}
-
-ErrClass edge_error(const RequestPtr& r) {
-  return r->status.error != ErrClass::success ? r->status.error
-                                              : ErrClass::rte_proc_failed;
-}
-
-/// Flood empty poison markers down still-healthy edges (never to failed
-/// ranks, never back the edge that delivered the poison).
-void flood_markers(ProcState& ps, const std::shared_ptr<CommState>& comm,
-                   const std::vector<int>& dsts, int skip, int tag) {
-  fabric::Fabric& fab = ps.proc.cluster().fabric();
-  for (int d : dsts) {
-    if (d != skip && !fab.is_failed(comm->global_of(d))) {
-      ps.isend_impl(comm, nullptr, 0, Datatype::byte(), d, tag, false);
-    }
-  }
-}
-
-bool all_done(const std::vector<RequestPtr>& reqs) {
-  for (const auto& r : reqs) {
-    if (r && !r->done()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// --- ibcast -----------------------------------------------------------------
-
-struct BcastSched {
+/// One operation: fan-in over `up`, then fan-out over `down`.
+struct Sched {
   std::shared_ptr<CommState> comm;
-  void* buf = nullptr;
-  int count = 0;
-  Datatype dt = Datatype::byte();
-  int tag = 0;
-  PlanTree t;
-  RequestPtr precv;              // payload from parent (posted at creation)
-  std::vector<RequestPtr> sends;
-  bool sent = false;
-  bool aborted = false;
-};
-
-bool advance_bcast(ProcState& ps, detail::RequestImpl& req,
-                   const std::shared_ptr<BcastSched>& sc) {
-  if (req.done()) {
-    return true;
-  }
-  if (!sc->aborted && failed_edge(sc->precv, sc->count > 0)) {
-    sc->aborted = true;
-    flood_markers(ps, sc->comm, sc->t.children, -1, sc->tag);
-    Status st;
-    st.error = edge_error(sc->precv);
-    req.finish(st);
-    return true;
-  }
-  if (!sc->sent && (sc->t.parent < 0 || (sc->precv && sc->precv->done()))) {
-    sc->sent = true;
-    for (int child : sc->t.children) {
-      sc->sends.push_back(ps.isend_impl(sc->comm, sc->buf, sc->count, sc->dt,
-                                        child, sc->tag, false));
-    }
-  }
-  if (sc->sent && all_done(sc->sends)) {
-    for (const auto& r : sc->sends) {
-      if (r->status.error != ErrClass::success) {
-        Status st;
-        st.error = r->status.error;
-        req.finish(st);
-        return true;
-      }
-    }
-    req.finish(Status{});
-    return true;
-  }
-  return false;
-}
-
-// --- iallreduce -------------------------------------------------------------
-
-/// Non-commutative: strict rank-ordered chain 0 -> n-1 (bit-identical fold
-/// order to the blocking path), then a binomial broadcast rooted at the
-/// last rank, which holds the finished value.
-struct ChainSched {
-  std::shared_ptr<CommState> comm;
-  void* recvbuf = nullptr;
+  void* buf = nullptr;  ///< result buffer (unused at count 0)
   int count = 0;
   Datatype dt = Datatype::byte();
   Op op = Op::sum();
-  std::vector<std::byte> contrib;
-  int tag0 = 0, tag1 = 0;
-  RequestPtr crecv;  // prefix from myrank-1
-  RequestPtr csend;  // forwarded prefix to myrank+1
-  bool applied = false;
-  int bparent = -1;
-  std::vector<int> bchildren;
-  RequestPtr brecv;  // final value from bcast parent
-  std::vector<RequestPtr> bsends;
-  bool bsent = false;
-  bool aborted = false;
-};
-
-bool advance_chain(ProcState& ps, detail::RequestImpl& req,
-                   const std::shared_ptr<ChainSched>& sc) {
-  if (req.done()) {
-    return true;
-  }
-  const int n = sc->comm->size();
-  const int me = sc->comm->myrank;
-  if (!sc->aborted &&
-      (failed_edge(sc->crecv, sc->count > 0) ||
-       failed_edge(sc->brecv, sc->count > 0))) {
-    sc->aborted = true;
-    const ErrClass cls = failed_edge(sc->crecv, sc->count > 0)
-                             ? edge_error(sc->crecv)
-                             : edge_error(sc->brecv);
-    if (!sc->csend && me + 1 < n) {
-      ps.isend_impl(sc->comm, nullptr, 0, Datatype::byte(), me + 1, sc->tag0,
-                    false);
-    }
-    flood_markers(ps, sc->comm, sc->bchildren, -1, sc->tag1);
-    Status st;
-    st.error = cls;
-    req.finish(st);
-    return true;
-  }
-  if (!sc->applied && (me == 0 || (sc->crecv && sc->crecv->done()))) {
-    sc->applied = true;
-    const std::size_t bytes =
-        static_cast<std::size_t>(sc->count) * sc->dt.extent();
-    if (me == 0) {
-      if (bytes > 0) {
-        std::memcpy(sc->recvbuf, sc->contrib.data(), bytes);
-      }
-    } else {
-      // recvbuf holds fold(0..me-1); fold my contribution in rank order.
-      sc->op.apply(sc->contrib.data(), sc->recvbuf, sc->count, sc->dt);
-    }
-    if (me + 1 < n) {
-      sc->csend = ps.isend_impl(sc->comm, sc->recvbuf, sc->count, sc->dt,
-                                me + 1, sc->tag0, false);
-    }
-  }
-  if (sc->applied && !sc->bsent && (me == n - 1 || sc->brecv->done())) {
-    sc->bsent = true;
-    for (int child : sc->bchildren) {
-      sc->bsends.push_back(ps.isend_impl(sc->comm, sc->recvbuf, sc->count,
-                                         sc->dt, child, sc->tag1, false));
-    }
-  }
-  if (sc->bsent && all_done(sc->bsends) &&
-      (!sc->csend || sc->csend->done())) {
-    Status st;
-    if (sc->csend && sc->csend->status.error != ErrClass::success) {
-      st.error = sc->csend->status.error;
-    }
-    for (const auto& r : sc->bsends) {
-      if (r->status.error != ErrClass::success) {
-        st.error = r->status.error;
-      }
-    }
-    req.finish(st);
-    return true;
-  }
-  return false;
-}
-
-/// Commutative: plan-shaped fan-in to leaders[0] (each edge carries a
-/// partial into a per-child scratch buffer, folded on arrival), then the
-/// finished value flows back down the same tree.
-struct FaninSched {
-  std::shared_ptr<CommState> comm;
-  void* recvbuf = nullptr;
-  int count = 0;
-  Datatype dt = Datatype::byte();
-  Op op = Op::sum();
-  std::vector<std::byte> acc;  // running partial (starts as my contribution)
-  int tag0 = 0, tag1 = 0;
-  PlanTree t;
-  std::vector<RequestPtr> crecvs;
-  std::vector<std::vector<std::byte>> cbufs;
+  bool ordered = false;  ///< non-commutative: a child's partial folds left
+  std::size_t edge_bytes = 0;  ///< what every edge carries
+  std::byte sink{};            ///< receive target of count-0 edges
+  int tag_up = 0;
+  int tag_down = 0;
+  Tree up;
+  Tree down;
+  std::vector<std::byte> acc;  ///< running partial, starts as my contribution
+  std::vector<std::vector<std::byte>> cbufs;  ///< one per up-child
+  std::vector<RequestPtr> crecvs;             ///< partials from up-children
   std::vector<bool> folded;
-  RequestPtr psend;  // partial up to parent
-  RequestPtr presv;  // finished value down from parent
-  std::vector<RequestPtr> fsends;
-  bool sent_up = false;
+  RequestPtr precv;                ///< value from the down-parent
+  std::vector<RequestPtr> sends;   ///< partial up, value down
+  bool sent_up = false;            ///< ibcast starts here
   bool forwarded = false;
-  bool aborted = false;
 };
 
-bool advance_fanin(ProcState& ps, detail::RequestImpl& req,
-                   const std::shared_ptr<FaninSched>& sc) {
-  if (req.done()) {
-    return true;
+/// The poison rule: an edge failed once its receive completed with an
+/// error, or with a byte count other than the one the edge expects.
+bool poisoned(const RequestPtr& r, std::size_t edge_bytes) {
+  return r->done() && (r->status.error != ErrClass::success ||
+                       r->status.count_bytes != edge_bytes);
+}
+
+/// Send on a tree edge. A peer that cannot be reached (one that failed
+/// before first contact) fails the send instead of unwinding the progress
+/// engine in the middle of the schedule.
+RequestPtr edge_send(ProcState& ps, const Sched& sc, const void* buf,
+                     int count, const Datatype& dt, int dst, int tag) {
+  try {
+    return ps.isend_impl(sc.comm, buf, count, dt, dst, tag, false);
+  } catch (const Error& e) {
+    RequestPtr r = ps.make_request();
+    Status st;
+    st.error = e.error_class();
+    r->finish(st);
+    return r;
   }
-  if (!sc->aborted) {
-    ErrClass cls = ErrClass::success;
-    int bad = -1;
-    for (std::size_t i = 0; i < sc->crecvs.size(); ++i) {
-      if (failed_edge(sc->crecvs[i], sc->count > 0)) {
-        cls = edge_error(sc->crecvs[i]);
-        bad = sc->t.children[i];
+}
+
+/// The abort path: flood markers down the edges this rank still owes a
+/// message on, skipping failed ranks and ranks that poisoned us (they
+/// already retired their receives, so a marker would linger as a stale
+/// packet), then retire the operation with `cls`.
+void abort_sched(ProcState& ps, RequestImpl& req, const Sched& sc,
+                 ErrClass cls) {
+  static const std::byte kMarker{1};
+  fabric::Fabric& fab = ps.proc.cluster().fabric();
+  const auto flood = [&](int dst, int tag) {
+    if (fab.is_failed(sc.comm->global_of(dst))) {
+      return;
+    }
+    for (const RequestPtr& r : req.nbc->recvs) {
+      if (r->src == dst && poisoned(r, sc.edge_bytes)) {
+        return;
       }
     }
-    if (failed_edge(sc->presv, sc->count > 0)) {
-      cls = edge_error(sc->presv);
-      bad = sc->t.parent;
+    edge_send(ps, sc, &kMarker, sc.edge_bytes == 0 ? 1 : 0, Datatype::byte(),
+              dst, tag);
+  };
+  if (!sc.sent_up && sc.up.parent >= 0) {
+    flood(sc.up.parent, sc.tag_up);
+  }
+  if (!sc.forwarded) {
+    for (int child : sc.down.children) {
+      flood(child, sc.tag_down);
     }
-    if (cls != ErrClass::success) {
-      sc->aborted = true;
-      if (!sc->sent_up && sc->t.parent >= 0 && sc->t.parent != bad) {
-        fabric::Fabric& fab = ps.proc.cluster().fabric();
-        if (!fab.is_failed(sc->comm->global_of(sc->t.parent))) {
-          ps.isend_impl(sc->comm, nullptr, 0, Datatype::byte(), sc->t.parent,
-                        sc->tag0, false);
-        }
-      }
-      flood_markers(ps, sc->comm, sc->t.children, bad, sc->tag1);
-      Status st;
-      st.error = cls;
-      req.finish(st);
+  }
+  Status st;
+  st.error = cls;
+  ps.retire_nbc_locked(req, st);
+}
+
+void fold(Sched& sc, std::vector<std::byte>& partial) {
+  if (sc.count == 0) {
+    return;
+  }
+  if (sc.ordered) {
+    // `partial` folds the ranks before mine: it stays the left operand.
+    sc.op.apply(sc.acc.data(), partial.data(), sc.count, sc.dt);
+    sc.acc.swap(partial);
+  } else {
+    sc.op.apply(partial.data(), sc.acc.data(), sc.count, sc.dt);
+  }
+}
+
+bool advance(ProcState& ps, RequestImpl& req, Sched& sc) {
+  for (const RequestPtr& r : req.nbc->recvs) {
+    if (poisoned(r, sc.edge_bytes)) {
+      abort_sched(ps, req, sc,
+                  r->status.error != ErrClass::success
+                      ? r->status.error
+                      : ErrClass::rte_proc_failed);
       return true;
     }
   }
-  bool all_folded = true;
-  for (std::size_t i = 0; i < sc->crecvs.size(); ++i) {
-    if (!sc->crecvs[i]->done()) {
-      all_folded = false;
-      continue;
-    }
-    if (!sc->folded[i]) {
-      sc->folded[i] = true;
-      sc->op.apply(sc->cbufs[i].data(), sc->acc.data(), sc->count, sc->dt);
-    }
-  }
-  const std::size_t bytes =
-      static_cast<std::size_t>(sc->count) * sc->dt.extent();
-  if (all_folded && !sc->sent_up) {
-    sc->sent_up = true;
-    if (sc->t.parent >= 0) {
-      sc->psend = ps.isend_impl(sc->comm, sc->acc.data(), sc->count, sc->dt,
-                                sc->t.parent, sc->tag0, false);
-    } else {
-      if (bytes > 0) {
-        std::memcpy(sc->recvbuf, sc->acc.data(), bytes);
+  if (!sc.sent_up) {
+    bool all_folded = true;
+    for (std::size_t i = 0; i < sc.crecvs.size(); ++i) {
+      if (!sc.crecvs[i]->done()) {
+        all_folded = false;
+      } else if (!sc.folded[i]) {
+        sc.folded[i] = true;
+        fold(sc, sc.cbufs[i]);
       }
     }
-  }
-  if (sc->sent_up && !sc->forwarded &&
-      (sc->t.parent < 0 || sc->presv->done())) {
-    sc->forwarded = true;
-    for (int child : sc->t.children) {
-      sc->fsends.push_back(ps.isend_impl(sc->comm, sc->recvbuf, sc->count,
-                                         sc->dt, child, sc->tag1, false));
+    if (!all_folded) {
+      return false;
+    }
+    sc.sent_up = true;
+    if (sc.up.parent >= 0) {
+      sc.sends.push_back(edge_send(ps, sc, sc.acc.data(), sc.count, sc.dt,
+                                   sc.up.parent, sc.tag_up));
+    } else if (!sc.acc.empty()) {
+      std::memcpy(sc.buf, sc.acc.data(), sc.acc.size());
     }
   }
-  if (sc->forwarded && all_done(sc->fsends) &&
-      (!sc->psend || sc->psend->done())) {
-    Status st;
-    if (sc->psend && sc->psend->status.error != ErrClass::success) {
-      st.error = sc->psend->status.error;
+  if (!sc.forwarded) {
+    if (sc.down.parent >= 0 && !sc.precv->done()) {
+      return false;
     }
-    for (const auto& r : sc->fsends) {
-      if (r->status.error != ErrClass::success) {
-        st.error = r->status.error;
-      }
+    sc.forwarded = true;
+    for (int child : sc.down.children) {
+      sc.sends.push_back(edge_send(ps, sc, sc.buf, sc.count, sc.dt, child,
+                                   sc.tag_down));
     }
-    req.finish(st);
-    return true;
   }
-  return false;
+  Status st;
+  for (const RequestPtr& r : sc.sends) {
+    if (!r->done()) {
+      return false;
+    }
+    if (r->status.error != ErrClass::success) {
+      st.error = r->status.error;
+    }
+  }
+  req.finish(st);
+  return true;
 }
 
-/// Create the NBC request shell, register the schedule, and kick the
-/// progress engine once (a leaf may fire its first sends immediately).
-RequestPtr launch(ProcState& ps, const std::shared_ptr<CommState>& comm,
-                  std::unique_ptr<NbcOp> nbc) {
+/// Post the schedule's sub-receives, register it with the progress engine
+/// and kick it once (a leaf may fire its first sends immediately).
+RequestPtr launch(ProcState& ps, const std::shared_ptr<Sched>& sc,
+                  std::uint32_t seq) {
+  sc->tag_up = detail::internal_tag(seq, 0);
+  sc->tag_down = detail::internal_tag(seq, 1);
+  sc->edge_bytes = static_cast<std::size_t>(sc->count) * sc->dt.size();
+  auto nbc = std::make_unique<NbcOp>();
+  nbc->comm = sc->comm;
+  const auto post = [&](void* dst, int src, int tag) {
+    RequestPtr r =
+        sc->count == 0
+            ? ps.irecv_impl(sc->comm, &sc->sink, 1, Datatype::byte(), src, tag)
+            : ps.irecv_impl(sc->comm, dst, sc->count, sc->dt, src, tag);
+    nbc->recvs.push_back(r);
+    return r;
+  };
+  const std::size_t nc = sc->up.children.size();
+  sc->cbufs.assign(nc, std::vector<std::byte>(sc->acc.size()));
+  sc->folded.assign(nc, false);
+  for (std::size_t i = 0; i < nc; ++i) {
+    sc->crecvs.push_back(
+        post(sc->cbufs[i].data(), sc->up.children[i], sc->tag_up));
+  }
+  if (sc->down.parent >= 0) {
+    sc->precv = post(sc->buf, sc->down.parent, sc->tag_down);
+  }
+  nbc->advance = [sc](ProcState& p, RequestImpl& r) {
+    return advance(p, r, *sc);
+  };
+
   RequestPtr req = ps.make_request();
   req->ps = &ps;
-  req->comm = comm.get();
-  req->kind = detail::RequestImpl::Kind::nbc;
+  req->comm = sc->comm.get();
+  req->kind = RequestImpl::Kind::nbc;
   req->nbc = std::move(nbc);
-  {
-    std::lock_guard lock(ps.mu);
-    ps.nbc_live.push_back(req);
-    ps.advance_nbc_locked();
-  }
+  std::lock_guard lock(ps.mu);
+  ps.nbc_live.push_back(req);
+  ps.advance_nbc_locked();
   return req;
 }
 
 }  // namespace
+
+RequestPtr coll::start_barrier(ProcState& ps,
+                               const std::shared_ptr<CommState>& comm, Tree t,
+                               std::uint32_t seq) {
+  auto sc = std::make_shared<Sched>();
+  sc->comm = comm;
+  sc->up = t;
+  sc->down = std::move(t);
+  return launch(ps, sc, seq);
+}
+
+Request Communicator::ibarrier() const {
+  const auto& s = nbc_state(state_);
+  Tree t;
+  detail::tree(s->myrank, s->size(), &t.parent, &t.children);
+  return Request{coll::start_barrier(*s->ps, s, std::move(t), next_seq(s))};
+}
 
 Request Communicator::ibcast(void* buf, int count, const Datatype& dt,
                              int root) const {
@@ -403,38 +317,17 @@ Request Communicator::ibcast(void* buf, int count, const Datatype& dt,
   }
   base::counters().add("coll.algo.ibcast.sched");
   if (n == 1) {
-    RequestPtr req = ps.make_request();
-    req->ps = &ps;
-    req->comm = s.get();
-    req->finish(Status{});
-    return Request{req};
+    return Request{done_request(ps, s)};
   }
   auto plan = coll::plan_for(ps, s);
-  int tag;
-  {
-    std::lock_guard lock(ps.mu);
-    tag = detail::internal_tag(s->coll_seq++, 0);
-  }
-
-  auto sc = std::make_shared<BcastSched>();
+  auto sc = std::make_shared<Sched>();
   sc->comm = s;
   sc->buf = buf;
   sc->count = count;
   sc->dt = dt;
-  sc->tag = tag;
-  sc->t = plan_tree(*plan, s->myrank, root);
-  if (sc->t.parent >= 0) {
-    sc->precv = ps.irecv_impl(s, buf, count, dt, sc->t.parent, tag);
-  }
-
-  auto nbc = std::make_unique<NbcOp>();
-  nbc->comm = s;
-  nbc->tag = tag;
-  nbc->parent_recv = sc->precv;
-  nbc->advance = [sc](ProcState& p, detail::RequestImpl& r) {
-    return advance_bcast(p, r, sc);
-  };
-  return Request{launch(ps, s, std::move(nbc))};
+  sc->down = plan_tree(*plan, s->myrank, root);
+  sc->sent_up = true;  // no fan-in: the value starts at the root
+  return Request{launch(ps, sc, next_seq(s))};
 }
 
 Request Communicator::iallreduce(const void* sendbuf, void* recvbuf, int count,
@@ -444,8 +337,8 @@ Request Communicator::iallreduce(const void* sendbuf, void* recvbuf, int count,
   const int n = s->size();
   const std::size_t bytes = static_cast<std::size_t>(count) * dt.extent();
 
-  // Stage the contribution up front: recvbuf is working storage for both
-  // schedules, and MPI_IN_PLACE contributions live there to begin with.
+  // Stage the contribution up front: MPI_IN_PLACE contributions live in
+  // recvbuf, which the fan-out overwrites.
   std::vector<std::byte> contrib(bytes);
   if (bytes > 0) {
     std::memcpy(contrib.data(), sendbuf == in_place ? recvbuf : sendbuf,
@@ -455,94 +348,38 @@ Request Communicator::iallreduce(const void* sendbuf, void* recvbuf, int count,
     if (bytes > 0) {
       std::memcpy(recvbuf, contrib.data(), bytes);
     }
-    RequestPtr req = ps.make_request();
-    req->ps = &ps;
-    req->comm = s.get();
-    req->finish(Status{});
-    return Request{req};
+    return Request{done_request(ps, s)};
   }
 
-  int tag0, tag1;
-  {
-    std::lock_guard lock(ps.mu);
-    const std::uint32_t seq = s->coll_seq++;
-    tag0 = detail::internal_tag(seq, 0);
-    tag1 = detail::internal_tag(seq, 1);
-  }
-
-  if (!op.commutative()) {
-    base::counters().add("coll.algo.iallreduce.ordered_chain");
-    auto sc = std::make_shared<ChainSched>();
-    sc->comm = s;
-    sc->recvbuf = recvbuf;
-    sc->count = count;
-    sc->dt = dt;
-    sc->op = op;
-    sc->contrib = std::move(contrib);
-    sc->tag0 = tag0;
-    sc->tag1 = tag1;
-    const int me = s->myrank;
-    if (me > 0) {
-      sc->crecv = ps.irecv_impl(s, recvbuf, count, dt, me - 1, tag0);
-    }
-    // Broadcast tree rooted at rank n-1 (virtual rotation by n-1).
-    const int vrank = (me - (n - 1) + n) % n;
-    int vparent = -1;
-    std::vector<int> vchildren;
-    tree(vrank, n, &vparent, &vchildren);
-    if (vparent >= 0) {
-      sc->bparent = (vparent + n - 1) % n;
-      sc->brecv = ps.irecv_impl(s, recvbuf, count, dt, sc->bparent, tag1);
-    }
-    for (int vc : vchildren) {
-      sc->bchildren.push_back((vc + n - 1) % n);
-    }
-    auto nbc = std::make_unique<NbcOp>();
-    nbc->comm = s;
-    nbc->tag = tag0;
-    nbc->parent_recv = sc->brecv;
-    if (sc->crecv) {
-      nbc->child_recvs.push_back(sc->crecv);
-    }
-    nbc->advance = [sc](ProcState& p, detail::RequestImpl& r) {
-      return advance_chain(p, r, sc);
-    };
-    return Request{launch(ps, s, std::move(nbc))};
-  }
-
-  base::counters().add("coll.algo.iallreduce.sched");
-  auto plan = coll::plan_for(ps, s);
-  auto sc = std::make_shared<FaninSched>();
+  const std::uint32_t seq = next_seq(s);
+  auto sc = std::make_shared<Sched>();
   sc->comm = s;
-  sc->recvbuf = recvbuf;
+  sc->buf = recvbuf;
   sc->count = count;
   sc->dt = dt;
   sc->op = op;
   sc->acc = std::move(contrib);
-  sc->tag0 = tag0;
-  sc->tag1 = tag1;
-  sc->t = plan_tree(*plan, s->myrank, plan->leaders.empty()
-                                          ? 0
-                                          : plan->leaders.front());
-  sc->cbufs.resize(sc->t.children.size());
-  sc->folded.assign(sc->t.children.size(), false);
-  for (std::size_t i = 0; i < sc->t.children.size(); ++i) {
-    sc->cbufs[i].resize(bytes);
-    sc->crecvs.push_back(ps.irecv_impl(s, sc->cbufs[i].data(), count, dt,
-                                       sc->t.children[i], tag0));
+  if (!op.commutative()) {
+    base::counters().add("coll.algo.iallreduce.ordered_chain");
+    // Fold up the chain 0 -> n-1; fan out down a tree rooted at n-1.
+    const int me = s->myrank;
+    sc->ordered = true;
+    if (me + 1 < n) {
+      sc->up.parent = me + 1;
+    }
+    if (me > 0) {
+      sc->up.children.push_back(me - 1);
+    }
+    sc->down = detail::mapped_tree((me + 1) % n, n,
+                                   [n](int v) { return (v + n - 1) % n; });
+  } else {
+    base::counters().add("coll.algo.iallreduce.sched");
+    auto plan = coll::plan_for(ps, s);
+    sc->up = plan_tree(*plan, s->myrank,
+                       plan->leaders.empty() ? 0 : plan->leaders.front());
+    sc->down = sc->up;
   }
-  if (sc->t.parent >= 0) {
-    sc->presv = ps.irecv_impl(s, recvbuf, count, dt, sc->t.parent, tag1);
-  }
-  auto nbc = std::make_unique<NbcOp>();
-  nbc->comm = s;
-  nbc->tag = tag0;
-  nbc->parent_recv = sc->presv;
-  nbc->child_recvs = sc->crecvs;
-  nbc->advance = [sc](ProcState& p, detail::RequestImpl& r) {
-    return advance_fanin(p, r, sc);
-  };
-  return Request{launch(ps, s, std::move(nbc))};
+  return Request{launch(ps, sc, seq)};
 }
 
 }  // namespace sessmpi

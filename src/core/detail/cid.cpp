@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "detail/tree.hpp"
 #include "sessmpi/obs/trace.hpp"
 
 namespace sessmpi::detail {
@@ -26,51 +27,25 @@ std::array<std::int64_t, 2> subset_allreduce_max2(
   const int me = position_of(participants, parent->myrank);
   const Datatype& dt = Datatype::int64();
 
-  // Binomial fan-in to position 0 with element-wise max.
-  int mask = 1;
-  while (mask < n) {
-    if ((me & mask) != 0) {
-      const int dst_pos = me & ~mask;
-      ps.blocking_send(parent, value.data(), 2, dt,
-                       participants[static_cast<std::size_t>(dst_pos)],
-                       base_tag, /*sync=*/false);
-      break;
-    }
-    const int src_pos = me | mask;
-    if (src_pos < n) {
-      std::array<std::int64_t, 2> incoming{};
-      ps.blocking_recv(parent, incoming.data(), 2, dt,
-                       participants[static_cast<std::size_t>(src_pos)],
-                       base_tag);
-      value[0] = std::max(value[0], incoming[0]);
-      value[1] = std::max(value[1], incoming[1]);
-    }
-    mask <<= 1;
+  // Binomial fan-in to position 0 with element-wise max, then fan-out of
+  // the result, largest subtree first.
+  const Tree t = mapped_tree(me, n, [&](int pos) {
+    return participants[static_cast<std::size_t>(pos)];
+  });
+  for (int child : t.children) {
+    std::array<std::int64_t, 2> incoming{};
+    ps.blocking_recv(parent, incoming.data(), 2, dt, child, base_tag);
+    value[0] = std::max(value[0], incoming[0]);
+    value[1] = std::max(value[1], incoming[1]);
   }
-
-  // Binomial fan-out of the result from position 0.
-  if (me != 0) {
-    int parent_mask = 1;
-    while ((me & parent_mask) == 0) {
-      parent_mask <<= 1;
-    }
-    ps.blocking_recv(parent, value.data(), 2, dt,
-                     participants[static_cast<std::size_t>(me & ~parent_mask)],
-                     base_tag - 1);
-    mask = parent_mask;  // forward only to sub-tree below our join level
-  } else {
-    mask = 1;
-    while (mask < n) {
-      mask <<= 1;
-    }
+  if (t.parent >= 0) {
+    ps.blocking_send(parent, value.data(), 2, dt, t.parent, base_tag,
+                     /*sync=*/false);
+    ps.blocking_recv(parent, value.data(), 2, dt, t.parent, base_tag - 1);
   }
-  for (int m = mask >> 1; m > 0; m >>= 1) {
-    const int child = me | m;
-    if (child < n && child != me) {
-      ps.blocking_send(parent, value.data(), 2, dt,
-                       participants[static_cast<std::size_t>(child)],
-                       base_tag - 1, /*sync=*/false);
-    }
+  for (auto it = t.children.rbegin(); it != t.children.rend(); ++it) {
+    ps.blocking_send(parent, value.data(), 2, dt, *it, base_tag - 1,
+                     /*sync=*/false);
   }
   return value;
 }

@@ -481,26 +481,13 @@ void ProcState::revoke_comm_locked(const std::shared_ptr<CommState>& comm,
   // In-flight nonblocking collectives on this comm abort first so their
   // sub-receives leave the posted queue as part of the op, not one by one.
   for (auto it = nbc_live.begin(); it != nbc_live.end();) {
-    RequestImpl& req = **it;
-    if (req.comm != comm.get()) {
+    if ((*it)->comm != comm.get()) {
       ++it;
       continue;
     }
-    NbcOp& op = *req.nbc;
-    comm->posted.erase_if([&](const RequestPtr& posted) {
-      if (posted == op.parent_recv) {
-        return true;
-      }
-      for (const RequestPtr& r : op.child_recvs) {
-        if (posted == r) {
-          return true;
-        }
-      }
-      return false;
-    });
     Status st;
     st.error = ErrClass::comm_revoked;
-    req.finish(st);
+    retire_nbc_locked(**it, st);
     it = nbc_live.erase(it);
   }
 
@@ -635,6 +622,28 @@ void ProcState::progress_pass(bool block) {
   }
   std::lock_guard lock(mu);
   advance_nbc_locked();
+}
+
+void ProcState::advance_nbc_locked() {
+  for (auto it = nbc_live.begin(); it != nbc_live.end();) {
+    RequestImpl& req = **it;
+    if (req.nbc->advance(*this, req)) {
+      it = nbc_live.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void ProcState::retire_nbc_locked(RequestImpl& req, Status st) {
+  const std::vector<RequestPtr>& recvs = req.nbc->recvs;
+  const auto mine = [&](const RequestPtr& r) {
+    return std::find(recvs.begin(), recvs.end(), r) != recvs.end();
+  };
+  req.nbc->comm->posted.erase_if(mine);
+  // A matched rendezvous sub-receive would still take its bulk data.
+  std::erase_if(recv_tokens, [&](const auto& kv) { return mine(kv.second); });
+  req.finish(st);
 }
 
 void ProcState::sweep_failed_peers_locked() {

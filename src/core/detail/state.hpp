@@ -67,7 +67,7 @@ struct RequestImpl {
   int rndv_source = -1;
   int rndv_tag = -1;
 
-  // Nonblocking-collective state machine (Ibarrier).
+  // Nonblocking-collective schedule (Kind::nbc only).
   std::unique_ptr<NbcOp> nbc;
 
   void finish(Status st) {
@@ -81,29 +81,17 @@ struct RequestImpl {
 
 using RequestPtr = std::shared_ptr<RequestImpl>;
 
-/// Nonblocking binomial-tree barrier: fan-in to rank 0, fan-out. Advanced
-/// from the progress engine; used by QUO's low-perturbation quiescence.
+/// A nonblocking collective in flight: a schedule of src/coll/nbc_sched.cpp.
 struct NbcOp {
-  enum class Phase : std::uint8_t { fanin, waiting_parent, done };
-  Phase phase = Phase::fanin;
-  int tag = 0;
   std::shared_ptr<CommState> comm;
-  std::vector<RequestPtr> child_recvs;  // fan-in messages expected
-  RequestPtr parent_recv;               // fan-out release from parent
-  std::vector<int> children;            // comm ranks
-  int parent = -1;
-  /// One byte of receive capacity per tree edge: normal tree messages are
-  /// empty; a 1-byte payload is the failure poison marker.
-  std::vector<std::byte> scratch;
-
-  /// Generic schedule hook (src/coll NBC schedules: ibcast, iallreduce).
-  /// When set, advance_nbc_locked calls this instead of the barrier state
-  /// machine (mu held); return true once the request was finished.
+  /// Every sub-receive the schedule posted; retire_nbc_locked drops the
+  /// ones still waiting for data when the operation aborts or the comm is
+  /// revoked.
+  std::vector<RequestPtr> recvs;
+  /// Drives the schedule from the progress engine (mu held); returns true
+  /// once the request is finished.
   std::function<bool(ProcState&, RequestImpl&)> advance;
 };
-
-/// Start a nonblocking binomial barrier on `comm` (MPI_Ibarrier).
-RequestPtr make_ibarrier(ProcState& ps, const std::shared_ptr<CommState>& comm);
 
 // ---------------------------------------------------------------------------
 // O(1) matching structures (DESIGN.md §12)
@@ -484,6 +472,11 @@ struct ProcState {
 
   /// Advance all live nonblocking collectives (mu held by caller).
   void advance_nbc_locked();
+
+  /// Retire a nonblocking collective (mu held): drop its sub-receives that
+  /// still wait for data, so stray tree messages for it cannot land in them
+  /// later, and finish the request with `st`.
+  void retire_nbc_locked(RequestImpl& req, Status st);
 
   /// Revoke `comm` (mu held): mark it, complete every pending non-FT
   /// operation with comm_revoked, and — when `flood` — reliably broadcast

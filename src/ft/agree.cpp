@@ -77,6 +77,22 @@ void hook(ft::AgreeStep step, int me) {
   }
 }
 
+/// Eager protocol send. A peer that died before first contact loses the
+/// message exactly like one that dies right after it; the failure sweep,
+/// not this send, tells the protocol about the death.
+void send_or_lose(detail::ProcState& ps,
+                  const std::shared_ptr<detail::CommState>& s,
+                  const std::uint64_t* value, int dst, int tag) {
+  try {
+    ps.isend_impl(s, value, 1, datatype_of<std::uint64_t>(), dst, tag,
+                  /*sync=*/false);
+  } catch (const Error& e) {
+    if (e.error_class() != ErrClass::rte_proc_failed) {
+      throw;
+    }
+  }
+}
+
 /// Remove any of `reqs` still sitting in the posted queue (their receive
 /// buffers live on our stack frame; a late match after return would write
 /// through a dangling pointer).
@@ -198,8 +214,7 @@ std::uint64_t Communicator::agree(std::uint64_t contribution) const {
     // Follower: push the contribution (eager — completes locally even if
     // the coordinator is already gone) and watch the coordinator.
     hook(ft::AgreeStep::follower_pre_push, me);
-    ps.isend_impl(s, &contribution, 1, datatype_of<std::uint64_t>(), coord,
-                  tag_contrib, /*sync=*/false);
+    send_or_lose(ps, s, &contribution, coord, tag_contrib);
     hook(ft::AgreeStep::follower_post_push, me);
     std::uint64_t watched = 0;
     detail::RequestPtr watch = ps.irecv_impl(s, &watched, 1,
@@ -244,8 +259,7 @@ std::uint64_t Communicator::agree(std::uint64_t contribution) const {
     if (r == me || fab.is_failed(s->global_of(r))) {
       continue;
     }
-    ps.isend_impl(s, &decided, 1, datatype_of<std::uint64_t>(), r, tag_result,
-                  /*sync=*/false);
+    send_or_lose(ps, s, &decided, r, tag_result);
     if (flood_first) {
       flood_first = false;
       hook(ft::AgreeStep::mid_flood, me);

@@ -41,7 +41,9 @@ void SimFs::write(const std::string& path, std::size_t offset,
   if (bytes.size() < offset + n) {
     bytes.resize(offset + n);
   }
-  std::memcpy(bytes.data() + offset, data, n);
+  if (n > 0) {  // an empty write may pass a null `data`
+    std::memcpy(bytes.data() + offset, data, n);
+  }
 }
 
 bool SimFs::try_write(const std::string& path, std::size_t offset,

@@ -1,9 +1,10 @@
 // Tests for the hierarchical collective engine (src/coll): flat/hier
 // result equivalence, non-commutative determinism across algorithm
 // variants, MPI_IN_PLACE and zero-count edge cases, single-copy on-node
-// accounting, plan-cache reuse and revoke/shrink invalidation, and
+// accounting, plan-cache reuse and revoke/shrink invalidation,
 // concurrent collectives on disjoint communicators (the TSan witness for
-// the shared-region release protocol).
+// the shared-region release protocol), and the nonblocking engine's
+// failure handling and Ibarrier traffic.
 //
 // The "coll.algorithm" cvar is process-global, so tests that compare
 // algorithms run one cluster per setting instead of flipping the knob
@@ -455,6 +456,158 @@ TEST(CollEngine, IbcastAndIallreduceAcrossShapes) {
       EXPECT_EQ(bb[63], 42);
     });
   }
+}
+
+// ---------------------------------------------------------------------------
+// Failure witness for the nonblocking engine: rank 5 of a 2x4 session comm
+// dies after a warm-up barrier, then every survivor runs one NBC. wait()
+// must return everywhere and leave no sub-receive posted (a stale one would
+// write into the user's buffer later). The fan-in schedules (ibarrier and
+// iallreduce at any count) must report the failure at every survivor —
+// including count 0, where the poison marker is the 1-byte message. The
+// warm-up is an ibarrier: rank 5 leaves it only after every message it
+// takes part in was sent, so its death cannot reach into the warm-up.
+
+struct NbcKillCase {
+  const char* name;
+  int count;
+  bool all_survivors_fail;
+  Request (*start)(const Communicator&, std::int64_t*, std::int64_t*, int);
+};
+
+class NbcAfterKill : public ::testing::TestWithParam<NbcKillCase> {};
+
+TEST_P(NbcAfterKill, SurvivorsReturnRetireAndAgree) {
+  const NbcKillCase& k = GetParam();
+  constexpr int kVictim = 5;
+  std::mutex mu;
+  int survivors = 0;
+  int failed = 0;
+  mpi_run(2, 4, [&](sim::Process& p) {
+    Session s = Session::init(Info::null(), Errhandler::errors_return());
+    Communicator comm = Communicator::create_from_group(
+        s.group_from_pset("mpi://world"), "nbc-kill", Info::null(),
+        Errhandler::errors_return());
+    ASSERT_EQ(comm.ibarrier().wait().error, ErrClass::success);
+    if (p.rank() == kVictim) {
+      p.fail();
+      return;  // crashed: no finalize
+    }
+    std::int64_t mine = comm.rank() + 1;
+    std::int64_t out = -1;
+    const Status st = k.start(comm, &mine, &out, k.count).wait();
+    const auto& cs = detail_unwrap(comm);
+    std::size_t posted = 0;
+    {
+      std::lock_guard lock(cs->ps->mu);
+      posted = cs->posted.size();
+    }
+    EXPECT_EQ(posted, 0u) << k.name << ": rank " << p.rank()
+                          << " kept a sub-receive posted";
+    {
+      std::lock_guard lock(mu);
+      ++survivors;
+      failed += st.error != ErrClass::success ? 1 : 0;
+    }
+    comm.free();
+    s.finalize();
+  });
+  EXPECT_EQ(survivors, 7);
+  if (k.all_survivors_fail) {
+    EXPECT_EQ(failed, 7) << k.name << ": every survivor must see the abort";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ops, NbcAfterKill,
+    ::testing::Values(
+        NbcKillCase{"iallreduce_count1", 1, true,
+                    [](const Communicator& c, std::int64_t* in,
+                       std::int64_t* out, int n) {
+                      return c.iallreduce(in, out, n, Datatype::int64(),
+                                          Op::sum());
+                    }},
+        NbcKillCase{"iallreduce_count0", 0, true,
+                    [](const Communicator& c, std::int64_t* in,
+                       std::int64_t* out, int n) {
+                      return c.iallreduce(in, out, n, Datatype::int64(),
+                                          Op::sum());
+                    }},
+        NbcKillCase{"ibcast_count1", 1, false,
+                    [](const Communicator& c, std::int64_t* in, std::int64_t*,
+                       int n) {
+                      return c.ibcast(in, n, Datatype::int64(), 0);
+                    }},
+        NbcKillCase{"ibcast_count0", 0, false,
+                    [](const Communicator& c, std::int64_t* in, std::int64_t*,
+                       int n) {
+                      return c.ibcast(in, n, Datatype::int64(), 0);
+                    }},
+        NbcKillCase{"ibarrier", 0, true,
+                    [](const Communicator& c, std::int64_t*, std::int64_t*,
+                       int) { return c.ibarrier(); }}),
+    [](const ::testing::TestParamInfo<NbcKillCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// A tree edge to a rank that died before first contact fails the request;
+// the send error must not unwind the progress engine mid-schedule.
+
+TEST(CollEngine, IbcastToPeerDeadBeforeFirstContactFailsTheRequest) {
+  mpi_run(1, 3, [](sim::Process& p) {
+    Session s = Session::init(Info::null(), Errhandler::errors_return());
+    Communicator comm = Communicator::create_from_group(
+        s.group_from_pset("mpi://world"), "nbc-first-contact", Info::null(),
+        Errhandler::errors_return());
+    if (p.rank() == 2) {
+      p.fail();
+      return;  // crashed: no finalize
+    }
+    if (p.rank() == 0) {
+      while (!p.cluster().fabric().is_failed(2)) {
+        std::this_thread::sleep_for(1ms);
+      }
+    }
+    std::int64_t v = p.rank() == 0 ? 7 : -1;
+    const Status st = comm.ibcast(&v, 1, Datatype::int64(), 0).wait();
+    if (p.rank() == 0) {
+      EXPECT_EQ(st.error, ErrClass::rte_proc_failed);
+    } else {
+      EXPECT_EQ(st.error, ErrClass::success);
+      EXPECT_EQ(v, 7);
+    }
+    comm.free();
+    s.finalize();
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Ibarrier's wire traffic is pinned: one message up and one down each tree
+// edge of the binomial comm-rank tree rooted at 0, 2(n-1) in total. QUO's
+// quiescence loop (paper Fig. 7) is made of these. Counted per rank as the
+// advance of the per-peer wire sequence numbers over one ibarrier.
+
+TEST(CollEngine, IbarrierSendsTwoMessagesPerTreeEdge) {
+  std::mutex mu;
+  std::uint64_t total = 0;
+  world_run(2, 4, [&](sim::Process&) {
+    Communicator w = comm_world();
+    const auto& cs = detail_unwrap(w);
+    const auto sent = [&] {
+      std::lock_guard lock(cs->ps->mu);
+      std::uint64_t n = 0;
+      for (const auto& [rank, peer] : cs->peers) {
+        n += peer.send_seq;
+      }
+      return n;
+    };
+    const std::uint64_t before = sent();
+    EXPECT_EQ(w.ibarrier().wait().error, ErrClass::success);
+    const std::uint64_t mine = sent() - before;
+    std::lock_guard lock(mu);
+    total += mine;
+  });
+  EXPECT_EQ(total, 2u * (8 - 1));
 }
 
 }  // namespace

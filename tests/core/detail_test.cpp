@@ -1,11 +1,13 @@
 // White-box tests of core internals (compiled with the core's private
 // include directory): the consensus CID algorithm's round behaviour, the
-// subset allreduce building block, and the tag-space helpers.
+// subset allreduce building block, the shared binomial tree, and the
+// tag-space helpers.
 
 #include <gtest/gtest.h>
 
 #include "detail/cid.hpp"
 #include "detail/state.hpp"
+#include "detail/tree.hpp"
 #include "harness.hpp"
 
 namespace sessmpi::detail {
@@ -42,6 +44,54 @@ TEST(TagsMatch, WildcardRules) {
   EXPECT_FALSE(tags_match(3, any_tag, 3, -5000));
   // Internal tags match exactly even though negative.
   EXPECT_TRUE(tags_match(3, kInternalTagBase - 8, 3, kInternalTagBase - 8));
+}
+
+// The one binomial tree, under every rotation a rooted operation uses:
+// each non-root rank has exactly one parent, which lists it as a child; no
+// rank is its own child; no rank sits deeper than ceil(log2 n).
+TEST(BinomialTree, ParentChildConsistentAndLogDepthUnderEveryRotation) {
+  for (int n = 1; n <= 65; ++n) {
+    int ceil_log2 = 0;
+    while ((1 << ceil_log2) < n) {
+      ++ceil_log2;
+    }
+    for (int root = 0; root < n; ++root) {
+      const auto real = [&](int v) { return (v + root) % n; };
+      std::vector<Tree> t(static_cast<std::size_t>(n));
+      for (int r = 0; r < n; ++r) {
+        t[static_cast<std::size_t>(r)] =
+            mapped_tree((r - root + n) % n, n, real);
+      }
+      std::vector<int> parents_listing(static_cast<std::size_t>(n), 0);
+      for (int r = 0; r < n; ++r) {
+        for (int c : t[static_cast<std::size_t>(r)].children) {
+          ASSERT_GE(c, 0);
+          ASSERT_LT(c, n);
+          EXPECT_NE(c, r) << "n=" << n << " root=" << root;
+          EXPECT_EQ(t[static_cast<std::size_t>(c)].parent, r)
+              << "n=" << n << " root=" << root << " child=" << c;
+          ++parents_listing[static_cast<std::size_t>(c)];
+        }
+      }
+      for (int r = 0; r < n; ++r) {
+        const Tree& tr = t[static_cast<std::size_t>(r)];
+        if (r == root) {
+          EXPECT_EQ(tr.parent, -1);
+          EXPECT_EQ(parents_listing[static_cast<std::size_t>(r)], 0);
+          continue;
+        }
+        EXPECT_EQ(parents_listing[static_cast<std::size_t>(r)], 1)
+            << "n=" << n << " root=" << root << " rank=" << r;
+        int depth = 0;
+        for (int a = r; a != root && depth <= n; ++depth) {
+          a = t[static_cast<std::size_t>(a)].parent;
+          ASSERT_GE(a, 0) << "n=" << n << " root=" << root << " rank=" << r;
+        }
+        EXPECT_LE(depth, ceil_log2)
+            << "n=" << n << " root=" << root << " rank=" << r;
+      }
+    }
+  }
 }
 
 TEST(SubsetAllreduce, MaxPairOverAllRanks) {
