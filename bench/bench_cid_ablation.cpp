@@ -100,6 +100,6 @@ int main() {
   std::cout << "\nCheckpoints: consensus time grows with fragmentation "
                "(extra allreduce rounds); both exCID columns stay flat; the "
                "derived column is the cheapest once the PGCID is paid.\n";
-  print_counters_json("bench_cid_ablation");
+  print_record("bench_cid_ablation");
   return 0;
 }

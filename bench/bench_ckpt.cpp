@@ -277,21 +277,13 @@ int main(int argc, char** argv) {
             ? 1.0
             : static_cast<double>(rs_row.redundancy) /
                   static_cast<double>(partner_row.redundancy);
-    record_metric("rs_redundancy_ratio", red_ratio, "lower");
-    record_metric("drain_overlap_pct", ov.overlap * 100.0, "higher");
     std::cout << "CKPT_SMOKE " << (red_pass && ov_pass ? "PASS" : "FAIL")
-              << " (rs(8,2)/partner redundancy = "
-              << Table::fmt(partner_row.redundancy == 0
-                                ? 1.0
-                                : static_cast<double>(rs_row.redundancy) /
-                                      static_cast<double>(
-                                          partner_row.redundancy),
-                            2)
+              << " (rs(8,2)/partner redundancy = " << Table::fmt(red_ratio, 2)
               << ", budget 0.50; drain overlap = "
               << Table::fmt(ov.overlap * 100, 1) << "%, floor 50%)\n";
-    print_counters_json("bench_ckpt");
-    print_metrics_json("bench_ckpt");
-    write_bench_json(argc, argv, "bench_ckpt");
+    print_record("bench_ckpt",
+                 {{"rs_redundancy_ratio", {red_ratio}},
+                  {"drain_overlap_pct", {ov.overlap * 100.0, Better::higher}}});
     flush_trace(trace_dir, "bench_ckpt");
     return red_pass && ov_pass ? 0 : 1;
   }
@@ -320,7 +312,7 @@ int main(int argc, char** argv) {
                "the spill adds a near-constant SimFs write on top. Recovery "
                "is bounded by shrink (agreement + CID construction), not by "
                "the rebuild copy.\n";
-  print_counters_json("bench_ckpt");
+  print_record("bench_ckpt");
   flush_trace(trace_dir, "bench_ckpt");
   return 0;
 }

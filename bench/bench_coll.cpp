@@ -94,7 +94,7 @@ void run_sweep() {
   }
 }
 
-int run_smoke(int argc, char** argv) {
+int run_smoke() {
   constexpr int kNodes = 8;
   constexpr int kPpn = 8;
   constexpr std::size_t kBytes = 65536;
@@ -108,11 +108,9 @@ int run_smoke(int argc, char** argv) {
   std::cout << "64-rank 64 KiB allreduce: flat " << base::Table::fmt(flat, 1)
             << " us, hier " << base::Table::fmt(hier, 1) << " us, speedup "
             << base::Table::fmt(flat / hier, 2) << "\n";
-  record_metric("hier_speedup", flat / hier, "higher");
-  record_metric("payload_copies", static_cast<double>(copies), "lower");
-  print_counters_json("bench_coll");
-  print_metrics_json("bench_coll");
-  write_bench_json(argc, argv, "bench_coll");
+  print_record("bench_coll",
+               {{"hier_speedup", {flat / hier, Better::higher}},
+                {"payload_copies", {static_cast<double>(copies)}}});
 
   const bool fast_enough = hier * 2.0 <= flat;
   const bool zero_copy = copies == 0;
@@ -132,9 +130,9 @@ int main(int argc, char** argv) {
   std::cout << "bench_coll: hierarchical vs flat collectives "
                "(--smoke for the CI gate)\n";
   if (flag_present(argc, argv, "--smoke")) {
-    return run_smoke(argc, argv);
+    return run_smoke();
   }
   run_sweep();
-  print_counters_json("bench_coll");
+  print_record("bench_coll");
   return 0;
 }

@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
                "acquisition on top of the baseline at every scale; "
                "derivation removes most of that gap (the §IV-C2 'more "
                "complex series' remark).\n";
-  print_counters_json("bench_comm_dup");
+  print_record("bench_comm_dup");
   flush_trace(trace_dir, "bench_comm_dup");
   return 0;
 }

@@ -140,6 +140,6 @@ int main() {
                "to the unmodified baseline for both ring orders; random "
                "order costs more than natural order once multiple nodes are "
                "involved (more inter-node hops).\n";
-  print_counters_json("bench_hpcc_ring");
+  print_record("bench_hpcc_ring");
   return 0;
 }

@@ -73,28 +73,17 @@ InitResult measure(int nodes, int ppn) {
 // meaningful when each cell owns the process.
 
 struct ScaleCell {
-  int nodes = 0, ppn = 0;
-  std::string sched, modex;
   double sess_total_ms = 0, sess_handle_ms = 0, sess_comm_ms = 0;
   double wall_s = 0;
-  std::uint64_t lazy_fetches = 0, cache_hits = 0, fiber_switches = 0;
+  std::uint64_t lazy_fetches = 0;
   long hwm_kib = 0;   // peak RSS: pages actually touched
   long peak_kib = 0;  // peak address space: includes reserved rank stacks
 };
 
-ScaleCell scale_run(int nodes, int ppn, const std::string& sched,
-                    const std::string& modex) {
+ScaleCell scale_run(int nodes, int ppn) {
   ScaleCell cell;
-  cell.nodes = nodes;
-  cell.ppn = ppn;
-  cell.sched = sched;
-  cell.modex = modex;
   const auto fetches0 =
       obs::pvar_read_counter("pmix.modex_lazy_fetches").value_or(0);
-  const auto hits0 =
-      obs::pvar_read_counter("pmix.modex_cache_hits").value_or(0);
-  const auto switches0 =
-      obs::pvar_read_counter("sim.fiber_switches").value_or(0);
 
   RankSamples total, handle, comm_create;
   base::Stopwatch wall;
@@ -128,29 +117,9 @@ ScaleCell scale_run(int nodes, int ppn, const std::string& sched,
   cell.sess_comm_ms = comm_create.mean();
   cell.lazy_fetches =
       obs::pvar_read_counter("pmix.modex_lazy_fetches").value_or(0) - fetches0;
-  cell.cache_hits =
-      obs::pvar_read_counter("pmix.modex_cache_hits").value_or(0) - hits0;
-  cell.fiber_switches =
-      obs::pvar_read_counter("sim.fiber_switches").value_or(0) - switches0;
   cell.hwm_kib = read_proc_status_kib("VmHWM");
   cell.peak_kib = read_proc_status_kib("VmPeak");
   return cell;
-}
-
-void print_scale_cell(const ScaleCell& c) {
-  const long n = static_cast<long>(c.nodes) * c.ppn;
-  std::cout << "SCALE_RESULT {\"bench\": \"bench_init\", \"nodes\": "
-            << c.nodes << ", \"ppn\": " << c.ppn << ", \"ranks\": " << n
-            << ", \"sched\": \"" << c.sched << "\", \"modex\": \"" << c.modex
-            << "\", \"sess_total_ms\": " << base::Table::fmt(c.sess_total_ms)
-            << ", \"sess_handle_ms\": " << base::Table::fmt(c.sess_handle_ms)
-            << ", \"sess_comm_ms\": " << base::Table::fmt(c.sess_comm_ms)
-            << ", \"wall_s\": " << base::Table::fmt(c.wall_s)
-            << ", \"modex_lazy_fetches\": " << c.lazy_fetches
-            << ", \"modex_cache_hits\": " << c.cache_hits
-            << ", \"fiber_switches\": " << c.fiber_switches
-            << ", \"vm_hwm_kib\": " << c.hwm_kib
-            << ", \"vm_peak_kib\": " << c.peak_kib << "}\n";
 }
 
 // CI gate: 4096 ranks, fibers + lazy modex, under a wall-clock budget, and
@@ -164,8 +133,7 @@ int smoke(int argc, char** argv) {
                   nullptr);
   obs::cvar_write("sim.scheduler", "fibers");
   obs::cvar_write("pmix.modex", "lazy");
-  const ScaleCell c = scale_run(kNodes, kPpn, "fibers", "lazy");
-  print_scale_cell(c);
+  const ScaleCell c = scale_run(kNodes, kPpn);
   const std::uint64_t n = static_cast<std::uint64_t>(kNodes) * kPpn;
   bool ok = true;
   if (c.wall_s > budget_s) {
@@ -179,12 +147,11 @@ int smoke(int argc, char** argv) {
               << "] (n^2 would be " << n * n << ")\n";
     ok = false;
   }
-  record_metric("wall_s", c.wall_s, "lower");
-  record_metric("lazy_fetches_per_rank",
-                static_cast<double>(c.lazy_fetches) / static_cast<double>(n),
-                "lower");
-  print_metrics_json("bench_init_smoke");
-  write_bench_json(argc, argv, "bench_init_smoke");
+  print_record("bench_init_smoke",
+               {{"wall_s", {c.wall_s}},
+                {"lazy_fetches_per_rank",
+                 {static_cast<double>(c.lazy_fetches) /
+                  static_cast<double>(n)}}});
   std::cout << (ok ? "SMOKE PASS" : "SMOKE FAIL") << ": " << n
             << " ranks in " << base::Table::fmt(c.wall_s) << "s, "
             << c.lazy_fetches << " lazy fetches (n=" << n << ", n^2 would be "
@@ -226,9 +193,7 @@ int main(int argc, char** argv) {
   if (flag_present(argc, argv, "--smoke")) {
     std::cout << "bench_init --smoke: 4096-rank Session_init gate "
                  "(fibers + lazy modex)\n";
-    const int rc = smoke(argc, argv);
-    print_counters_json("bench_init_smoke");
-    return rc;
+    return smoke(argc, argv);
   }
 
   if (auto nodes_arg = arg_value(argc, argv, "--scale-nodes=")) {
@@ -237,8 +202,15 @@ int main(int argc, char** argv) {
         std::atoi(arg_value(argc, argv, "--scale-ppn=").value_or("64").c_str());
     std::cout << "bench_init scale cell: " << nodes << " nodes x " << ppn
               << " ppn, sched=" << sched << ", modex=" << modex << "\n";
-    print_scale_cell(scale_run(nodes, ppn, sched, modex));
-    print_counters_json("bench_init_scale");
+    // The fetch, hit and fiber-switch counts are the record's counters.
+    const ScaleCell c = scale_run(nodes, ppn);
+    print_record("bench_init_scale",
+                 {{"sess_total_ms", {c.sess_total_ms}},
+                  {"sess_handle_ms", {c.sess_handle_ms}},
+                  {"sess_comm_ms", {c.sess_comm_ms}},
+                  {"wall_s", {c.wall_s}},
+                  {"vm_hwm_kib", {static_cast<double>(c.hwm_kib)}},
+                  {"vm_peak_kib", {static_cast<double>(c.peak_kib)}}});
     flush_trace(trace_dir, "bench_init_scale");
     return 0;
   }
@@ -249,7 +221,7 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper checkpoints: Sessions ~= +20% over MPI_Init; at 28 "
                "ppn the session-handle (resource init) share is ~30%; at 1 "
                "ppn resource init dominates the sessions path.\n";
-  print_counters_json("bench_init");
+  print_record("bench_init");
   flush_trace(trace_dir, "bench_init");
   return 0;
 }

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper checkpoint: ratio ~= 1.0 across sizes (the exCID "
                "handshake completes during warmup; steady state uses the "
                "same 14-byte fast path).\n";
-  print_counters_json("bench_latency");
+  print_record("bench_latency");
   flush_trace(trace_dir, "bench_latency");
   return 0;
 }

@@ -216,7 +216,6 @@ int main(int argc, char** argv) {
 
   const auto rows = run_sweep();
   print_sweep(rows);
-  bench::print_counters_json("bench_matching");
 
   if (smoke) {
     // Regression fence: per-source bins keep match cost flat in posted
@@ -224,9 +223,7 @@ int main(int argc, char** argv) {
     // sits far above this on any host).
     const double ratio = rows[2].directed_ns / rows[0].directed_ns;
     const bool pass = ratio <= 3.0;
-    bench::record_metric("depth_ratio", ratio, "lower");
-    bench::print_metrics_json("bench_matching");
-    bench::write_bench_json(argc, argv, "bench_matching");
+    bench::print_record("bench_matching", {{"depth_ratio", {ratio}}});
     std::cout << "MATCH_SMOKE " << (pass ? "PASS" : "FAIL")
               << " (depth-256 / depth-1 = " << base::Table::fmt(ratio, 2)
               << ", budget 3.00)\n";
@@ -234,6 +231,7 @@ int main(int argc, char** argv) {
   }
 
   // Full mode: the data-structure micros ride along.
+  bench::print_record("bench_matching");
   int bench_argc = 1;
   benchmark::Initialize(&bench_argc, argv);
   benchmark::RunSpecifiedBenchmarks();

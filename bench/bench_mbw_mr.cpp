@@ -202,7 +202,7 @@ void figure(const char* title, int nprocs) {
 /// CI regression gate (`--smoke`): one 2-process run at the paper's 8-byte
 /// point, checking the three properties the message-path overhaul bought:
 /// the message rate itself, a zero-copy eager path, and buffer-pool reuse.
-int run_smoke(int argc, char** argv) {
+int run_smoke() {
   constexpr double kRateFloor = 8'000;  // seed main measured ~4.4k msg/s
   std::vector<double> rates;
   run_cluster(1, 2, [&](sim::Process& p) {
@@ -234,12 +234,10 @@ int run_smoke(int argc, char** argv) {
             << "fabric.payload_copies: " << copies << " (must be 0)\n"
             << "buffer pool hit rate: " << base::Table::fmt(hit_rate * 100, 1)
             << "% (floor 50%)\n";
-  record_metric("msg_rate", rate, "higher");
-  record_metric("pool_hit_pct", hit_rate * 100.0, "higher");
-  record_metric("payload_copies", static_cast<double>(copies), "lower");
-  print_counters_json("bench_mbw_mr");
-  print_metrics_json("bench_mbw_mr");
-  write_bench_json(argc, argv, "bench_mbw_mr");
+  print_record("bench_mbw_mr",
+               {{"msg_rate", {rate, Better::higher}},
+                {"pool_hit_pct", {hit_rate * 100.0, Better::higher}},
+                {"payload_copies", {static_cast<double>(copies)}}});
   const bool ok = rate >= kRateFloor && copies == 0 && hit_rate >= 0.5;
   std::cout << (ok ? "MBW_SMOKE PASS\n" : "MBW_SMOKE FAIL\n");
   return ok ? 0 : 1;
@@ -335,7 +333,7 @@ double rails_bw_cell(int rails) {
 /// multi-rail bandwidth scaling, with the two §17 acceptance gates:
 /// adaptive recovery >= 3x the fixed engine's message rate at 5% drop, and
 /// 4-rail striped bandwidth >= 2x single-rail for >= 256 KiB messages.
-int run_loss_sweep(int argc, char** argv) {
+int run_loss_sweep() {
   const std::vector<double> drops{0.0, 0.01, 0.02, 0.05, 0.10};
   const std::vector<fabric::CcEngine> engines{
       fabric::CcEngine::fixed, fabric::CcEngine::aimd, fabric::CcEngine::cubic};
@@ -401,11 +399,6 @@ int run_loss_sweep(int argc, char** argv) {
       rate[1][0.05][fabric::CcEngine::cubic] /
       rate[1][0.05][fabric::CcEngine::fixed];
   const double rail_speedup = bw[4] / bw[1];
-  record_metric("loss5_aimd_over_fixed", aimd_gain, "higher");
-  record_metric("loss5_cubic_over_fixed", cubic_gain, "higher");
-  record_metric("rails4_bw_speedup", rail_speedup, "higher");
-  record_metric("sweep_escalations", static_cast<double>(escalations),
-                "lower");
   std::cout << "\naimd/fixed at 5% drop: " << base::Table::fmt(aimd_gain, 2)
             << " (gate >= 3)\ncubic/fixed at 5% drop: "
             << base::Table::fmt(cubic_gain, 2)
@@ -413,9 +406,11 @@ int run_loss_sweep(int argc, char** argv) {
             << base::Table::fmt(rail_speedup, 2)
             << " (gate >= 2)\nrto escalations (lost messages): " << escalations
             << " (gate == 0)\n";
-  print_counters_json("bench_mbw_mr_loss");
-  print_metrics_json("bench_mbw_mr_loss");
-  write_bench_json(argc, argv, "bench_mbw_mr_loss");
+  print_record("bench_mbw_mr_loss",
+               {{"loss5_aimd_over_fixed", {aimd_gain, Better::higher}},
+                {"loss5_cubic_over_fixed", {cubic_gain, Better::higher}},
+                {"rails4_bw_speedup", {rail_speedup, Better::higher}},
+                {"sweep_escalations", {static_cast<double>(escalations)}}});
   const bool ok = aimd_gain >= 3.0 && cubic_gain >= 3.0 &&
                   rail_speedup >= 2.0 && escalations == 0;
   std::cout << (ok ? "LOSS_SWEEP PASS\n" : "LOSS_SWEEP FAIL\n");
@@ -431,10 +426,10 @@ int main(int argc, char** argv) {
   std::cout << "bench_mbw_mr: reproduces Figures 5b/5c (osu_mbw_mr message "
                "rate, MPI_Init vs Sessions)\n";
   if (flag_present(argc, argv, "--smoke")) {
-    return run_smoke(argc, argv);
+    return run_smoke();
   }
   if (flag_present(argc, argv, "--loss-sweep")) {
-    return run_loss_sweep(argc, argv);
+    return run_loss_sweep();
   }
   figure("Figure 5b: 2 processes (1 pair) on one node", 2);
   figure("Figure 5c: 16 processes (8 pairs) on one node", 16);
@@ -442,6 +437,6 @@ int main(int argc, char** argv) {
                "the exCID handshake, so ratios ~= 1.0; with 16 processes the "
                "sessions rate dips at small sizes (ext headers in flight "
                "before the CID ACK); the Sendrecv pre-sync restores ~1.0.\n";
-  print_counters_json("bench_mbw_mr");
+  print_record("bench_mbw_mr");
   return 0;
 }

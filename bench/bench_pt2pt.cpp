@@ -7,8 +7,8 @@
 //    Perfetto-loadable timeline with spans from core, fabric, pmix and ft.
 //  - `--smoke`: assert the tracing-enabled latency stays within 10% of the
 //    tracing-disabled latency (CI gate for the "tens of ns per span"
-//    overhead budget). The ratio is also exported as the obs.overhead_pct
-//    counter inside COUNTERS_JSON.
+//    overhead budget). The ratio is also the `overhead_ratio` metric of
+//    the run's BENCH_RECORD line.
 
 #include "common.hpp"
 
@@ -92,8 +92,6 @@ int main(int argc, char** argv) {
   tracer.set_enabled(false);
 
   const double ratio = lat_off_us > 0 ? lat_on_us / lat_off_us : 1.0;
-  base::counters().add("obs.overhead_pct",
-                       static_cast<std::uint64_t>(ratio * 100.0 + 0.5));
 
   print_header("Tracing overhead: 8-byte on-node ping-pong",
                "best-of-" + std::to_string(kReps) + " one-way latency, " +
@@ -105,10 +103,7 @@ int main(int argc, char** argv) {
 
   // Only the overhead *ratio* is baseline-gated: absolute latency is host
   // noise, the on/off ratio is what the obs layer owns.
-  record_metric("overhead_ratio", ratio, "lower");
-  print_counters_json("bench_pt2pt");
-  print_metrics_json("bench_pt2pt");
-  write_bench_json(argc, argv, "bench_pt2pt");
+  print_record("bench_pt2pt", {{"overhead_ratio", {ratio}}});
   flush_trace(trace_dir, "bench_pt2pt");
   flush_metrics(metrics_period, trace_dir.value_or("."), "bench_pt2pt");
 

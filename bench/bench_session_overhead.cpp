@@ -92,6 +92,6 @@ int main(int argc, char** argv) {
                "magnitude less than the first (subsystems shared); re-init "
                "after teardown pays resource init again but not the NFS "
                "component load (cached per process lifetime).\n";
-  print_counters_json("bench_session_overhead");
+  print_record("bench_session_overhead");
   return 0;
 }

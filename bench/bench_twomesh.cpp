@@ -118,6 +118,6 @@ int main() {
   std::cout << "\nPaper checkpoint: sessions overhead <= ~3% on every "
                "problem, attributable to the emulated (Ibarrier+nanosleep) "
                "quiescence replacing QUO's low-overhead barrier.\n";
-  print_counters_json("bench_twomesh");
+  print_record("bench_twomesh");
   return 0;
 }

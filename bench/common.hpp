@@ -9,13 +9,13 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "record.hpp"
 #include "sessmpi/base/clock.hpp"
 #include "sessmpi/base/stats.hpp"
 #include "sessmpi/mpi.hpp"
@@ -60,10 +60,6 @@ class RankSamples {
     }
     return s / static_cast<double>(samples_.size());
   }
-  [[nodiscard]] std::vector<double> values() const {
-    std::lock_guard lock(mu_);
-    return samples_;
-  }
 
  private:
   mutable std::mutex mu_;
@@ -85,17 +81,6 @@ inline void print_header(const std::string& title, const std::string& note) {
   std::cout << "\n";
 }
 
-/// Tagged one-line JSON dump of every process-wide counter, printed by each
-/// bench binary alongside its timing tables. The "COUNTERS_JSON " prefix is
-/// the extraction marker tools/report_merge scans for when merging several
-/// bench outputs into one EXPERIMENTS.md-ready table.
-inline void print_counters_json(const std::string& bench_name) {
-  std::cout << "\nCOUNTERS_JSON {\"bench\": \"" << bench_name
-            << "\", \"counters\": ";
-  base::counters().print_json(std::cout);
-  std::cout << "}\n";
-}
-
 /// Value of a `--key=value` argument, or nullopt.
 inline std::optional<std::string> arg_value(int argc, char** argv,
                                             const char* prefix) {
@@ -109,73 +94,17 @@ inline std::optional<std::string> arg_value(int argc, char** argv,
   return out;
 }
 
-/// One headline result a bench wants regression-gated. `better` says which
-/// direction is an improvement, so the gate in `report_merge --baseline`
-/// knows that a falling msg_rate is a regression but a falling latency is
-/// not.
-struct BenchMetric {
-  std::string name;
-  double value = 0.0;
-  const char* better = "lower";  ///< "lower" | "higher"
-};
-
-inline std::vector<BenchMetric>& bench_metrics() {
-  static std::vector<BenchMetric> metrics;
-  return metrics;
-}
-
-/// Record one headline metric for this invocation. Printed by
-/// print_metrics_json and persisted by write_bench_json; names should be
-/// stable across runs — they are the join key against the checked-in
-/// BENCH_<bench>.json baselines.
-inline void record_metric(const std::string& name, double value,
-                          const char* better) {
-  bench_metrics().push_back({name, value, better});
-}
-
-inline void write_metrics_object(std::ostream& os) {
-  os << "{";
-  bool first = true;
-  for (const auto& m : bench_metrics()) {
-    os << (first ? "" : ", ") << "\"" << m.name << "\": {\"value\": "
-       << m.value << ", \"better\": \"" << m.better << "\"}";
-    first = false;
+/// Print this run's one BENCH_RECORD line (bench/record.hpp) for
+/// `bench_name`: its headline metrics plus a snapshot of every process-wide
+/// counter. Metric names are the join key against the checked-in
+/// BENCH_<bench>.json baselines, so keep them stable across runs.
+inline void print_record(const std::string& bench_name,
+                         std::map<std::string, Metric> metrics = {}) {
+  Record record{bench_name, std::move(metrics), {}};
+  for (const auto& [name, value] : base::counters().snapshot()) {
+    record.counters.emplace(name, value);
   }
-  os << "}";
-}
-
-/// Tagged one-line JSON dump of the recorded headline metrics — the
-/// "METRICS_JSON " marker is what `report_merge --baseline` scans for.
-inline void print_metrics_json(const std::string& bench_name) {
-  if (bench_metrics().empty()) {
-    return;
-  }
-  std::cout << "METRICS_JSON {\"bench\": \"" << bench_name
-            << "\", \"metrics\": ";
-  write_metrics_object(std::cout);
-  std::cout << "}\n";
-}
-
-/// `--bench-json=<dir>`: write the recorded metrics as
-/// `<dir>/BENCH_<bench>.json`, the baseline file format consumed by
-/// `report_merge --baseline`. Refreshing a checked-in baseline is just
-/// re-running the bench with this flag pointed at bench/baselines/.
-inline void write_bench_json(int argc, char** argv,
-                             const std::string& bench_name) {
-  const auto dir = arg_value(argc, argv, "--bench-json=");
-  if (!dir || bench_metrics().empty()) {
-    return;
-  }
-  const std::string path = *dir + "/BENCH_" + bench_name + ".json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench: cannot write " << path << "\n";
-    return;
-  }
-  out << "{\"bench\": \"" << bench_name << "\", \"metrics\": ";
-  write_metrics_object(out);
-  out << "}\n";
-  std::cout << "BENCH_JSON=" << path << "\n";
+  std::cout << to_line(record) << "\n";
 }
 
 /// `--metrics=<period_ms>`: start the background pvar sampler for the whole
@@ -195,7 +124,7 @@ inline std::optional<int> metrics_period_from_args(int argc, char** argv) {
 
 /// Stop the sampler and export the collected time-series as
 /// `<dir>/<bench>.metrics.jsonl` (one `{"ts_ns":..,"pvars":{..}}` object
-/// per line). Prints a `METRICS=<path>` marker like TRACE=/COUNTERS_JSON.
+/// per line). Prints a `METRICS=<path>` marker like TRACE=.
 inline void flush_metrics(const std::optional<int>& period,
                           const std::string& dir,
                           const std::string& bench_name) {
@@ -277,9 +206,9 @@ inline std::optional<std::string> trace_dir_from_args(int argc, char** argv) {
 }
 
 /// Flush the collected trace into per-rank files under `dir` and print one
-/// `TRACE=<path>` line per file (the driver-side marker, like
-/// COUNTERS_JSON). Call after every cluster has been destroyed — the
-/// tracer's rings may only be read once all writer threads are quiescent.
+/// `TRACE=<path>` line per file (the driver-side marker). Call after every
+/// cluster has been destroyed — the tracer's rings may only be read once
+/// all writer threads are quiescent.
 inline void flush_trace(const std::optional<std::string>& dir,
                         const std::string& bench_name) {
   if (!dir) {

@@ -96,9 +96,9 @@ class Counters {
   /// Snapshot of every counter, sorted by name.
   std::vector<std::pair<std::string, std::uint64_t>> snapshot() const;
 
-  /// One-line JSON object of every counter: {"name": value, ...}. The
-  /// benchmark harnesses print this inside a tagged line that
-  /// tools/report_merge collects into an EXPERIMENTS.md-ready table.
+  /// One-line JSON object of every counter: {"name": value, ...}, as
+  /// written into postmortem bundles. (The bench record line formats
+  /// snapshot() itself; see bench/record.hpp.)
   void print_json(std::ostream& os) const;
 
   /// Reset all counters to zero (tests isolate themselves with this),

@@ -594,6 +594,23 @@ void wait_for_arrival(const fabric::Packet& pkt) {
 }  // namespace
 
 void ProcState::progress_pass(bool block) {
+  // Pop and dispatch are one step: if two threads of this process each
+  // popped a packet and raced for `mu`, the later packet of a (source, tag)
+  // lane could be matched first, breaking non-overtaking. A thread that
+  // finds another one draining returns (a blocking pass after at most 1 ms)
+  // so its caller re-checks its own completion rather than waiting out the
+  // drainer's idle timeout.
+  std::unique_lock drain(drain_mu, std::defer_lock);
+  if (block ? drain.try_lock_for(std::chrono::milliseconds(1))
+            : drain.try_lock()) {
+    drain_inbox_locked(block);
+    drain.unlock();
+  }
+  std::lock_guard lock(mu);
+  advance_nbc_locked();
+}
+
+void ProcState::drain_inbox_locked(bool block) {
   bool any = false;
   for (;;) {
     auto pkt = proc.endpoint().inbox().try_pop();
@@ -620,8 +637,6 @@ void ProcState::progress_pass(bool block) {
       sweep_failed_peers_locked();
     }
   }
-  std::lock_guard lock(mu);
-  advance_nbc_locked();
 }
 
 void ProcState::advance_nbc_locked() {

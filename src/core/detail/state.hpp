@@ -368,6 +368,9 @@ struct ProcState {
   sim::Process& proc;
   base::CostModel cost;
   std::recursive_mutex mu;
+  /// Held by the one thread popping and dispatching inbox packets, so the
+  /// threads of a process (sim::ProcessAdopter) dispatch in pop order.
+  std::timed_mutex drain_mu;
 
   // Configuration.
   CidMethod method = CidMethod::excid;
@@ -435,6 +438,9 @@ struct ProcState {
   /// on failed peers and complete them with rte_proc_failed (§II-C: a
   /// failure must not hang survivors).
   void progress_pass(bool block);
+  /// Pop and dispatch inbox packets (drain_mu held by caller); `block`
+  /// waits briefly for one when the inbox is empty.
+  void drain_inbox_locked(bool block);
   /// Drive progress until `done()` returns true; aborts with
   /// Error(proc_aborted) if the cluster run is aborting.
   void progress_until(const std::function<bool()>& done);

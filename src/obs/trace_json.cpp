@@ -136,9 +136,8 @@ std::vector<std::string> write_rank_traces(const std::string& dir,
 
 namespace {
 
-// Minimal scanner for the one-event-per-line schema this module writes
-// (same spirit as tools/report_merge's COUNTERS_JSON scanner): find a
-// quoted key, then read the value after the colon.
+// Minimal scanner for the one-event-per-line schema this module writes:
+// find a quoted key, then read the value after the colon.
 std::optional<std::string> find_string_value(const std::string& line,
                                              const std::string& key) {
   const std::string needle = "\"" + key + "\":";

@@ -21,8 +21,10 @@ Process::Process(Cluster& cluster, Rank rank)
       endpoint_(cluster.fabric().endpoint(rank)) {}
 
 void Process::fail() {
-  cluster_.fabric().mark_failed(rank_);
+  // Runtime first: a survivor that sees the death on the wire and then
+  // re-queries a pset must already get the shrunken set.
   cluster_.dvm().pmix().notify_proc_failed(rank_);
+  cluster_.fabric().mark_failed(rank_);
 }
 
 bool Process::failed() const {

@@ -60,7 +60,7 @@ class Process {
   std::shared_ptr<void> mpi_state;
   std::mutex mpi_state_mu;
 
-  /// Failure injection: marks this process dead in the fabric and PMIx.
+  /// Failure injection: marks this process dead in PMIx, then the fabric.
   void fail();
   [[nodiscard]] bool failed() const;
 

@@ -475,6 +475,10 @@ struct NbcKillCase {
   Request (*start)(const Communicator&, std::int64_t*, std::int64_t*, int);
 };
 
+// gtest's default dump of the case would print its pointer bytes into the
+// listed test names, which then change from build to build.
+void PrintTo(const NbcKillCase& k, std::ostream* os) { *os << k.name; }
+
 class NbcAfterKill : public ::testing::TestWithParam<NbcKillCase> {};
 
 TEST_P(NbcAfterKill, SurvivorsReturnRetireAndAgree) {

@@ -1,292 +1,143 @@
-// Merge the COUNTERS_JSON blocks printed by the bench_* binaries into one
-// EXPERIMENTS.md-ready markdown table (counters as rows, benches as
-// columns).
+// Merge the counters of the BENCH_RECORD lines (bench/record.hpp) in bench
+// outputs into one EXPERIMENTS.md-ready table (counters as rows, records as
+// columns):
 //
-//   ./bench_latency > lat.txt && ./bench_mbw_mr > mbw.txt
 //   ./report_merge lat.txt mbw.txt >> EXPERIMENTS.md
 //
-// The input format is ours (bench/common.hpp print_counters_json): one
-// tagged line per bench run,
-//   COUNTERS_JSON {"bench": "<name>", "counters": {"<counter>": <n>, ...}}
-// so a purpose-built scanner beats pulling in a JSON library.
-//
-// Baseline-gate mode (CI regression gate, DESIGN.md §16):
+// or gate each record against its own `<dir>/BENCH_<bench>.json` (CI
+// regression gate, DESIGN.md §16):
 //
 //   ./report_merge --baseline bench/baselines pt2pt.txt mbw.txt
 //
-// scans each input for its METRICS_JSON line (bench/common.hpp
-// record_metric/print_metrics_json), joins it against the checked-in
-// `<dir>/BENCH_<bench>.json` baseline, and exits 1 when any metric moved
-// more than 15% in its worse direction ("better": "lower"|"higher" names
-// which way that is). A missing baseline file fails the gate (run the
-// bench with --bench-json=<dir> to create it); a metric the baseline does
-// not know yet only warns, so adding a metric does not break CI.
+// The gate exits 1 when a metric is >15% worse or missing from the run (a
+// run metric with no baseline yet only warns), and on an input without a
+// record, a missing baseline, or a malformed record or baseline, naming
+// the file and line.
 
-#include <cmath>
-#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "record.hpp"
 #include "sessmpi/base/stats.hpp"
 
 namespace {
 
-constexpr const char* kTag = "COUNTERS_JSON ";
+using namespace sessmpi::bench;
 
-/// Extract the next "quoted string" starting at or after `pos`; advances
-/// `pos` past the closing quote. Returns false when no quote remains.
-bool next_quoted(const std::string& line, std::size_t& pos, std::string& out) {
-  const std::size_t open = line.find('"', pos);
-  if (open == std::string::npos) {
-    return false;
+/// Every record line of a bench output or, for a baseline, the whole file
+/// as one record. Throws std::runtime_error naming the file and line.
+std::vector<Record> read(const std::string& path, bool baseline) {
+  std::ifstream in(path);
+  if (!in) {
+    throw std::runtime_error((baseline ? "missing baseline " : "cannot open ") +
+                             path);
   }
-  const std::size_t close = line.find('"', open + 1);
-  if (close == std::string::npos) {
-    return false;
-  }
-  out = line.substr(open + 1, close - open - 1);
-  pos = close + 1;
-  return true;
-}
-
-struct BenchCounters {
-  std::string bench;
-  std::map<std::string, std::uint64_t> values;
-};
-
-/// Parse one tagged line. Layout (fixed by print_counters_json):
-/// quoted strings alternate "bench", <name>, "counters", <counter>, ... and
-/// every counter name is immediately followed by ": <integer>".
-bool parse_line(const std::string& line, BenchCounters& out) {
-  std::size_t pos = line.find(kTag);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  pos += std::string(kTag).size();
-  std::string key;
-  if (!next_quoted(line, pos, key) || key != "bench" ||
-      !next_quoted(line, pos, out.bench) ||
-      !next_quoted(line, pos, key) || key != "counters") {
-    return false;
-  }
-  std::string name;
-  while (next_quoted(line, pos, name)) {
-    const std::size_t colon = line.find(':', pos);
-    if (colon == std::string::npos) {
-      return false;
+  try {
+    if (!baseline) {
+      return scan_records(in);
     }
-    out.values[name] = std::stoull(line.substr(colon + 1));
-    pos = colon + 1;
+    std::stringstream text;
+    text << in.rdbuf();
+    return {parse_record(text.str())};
+  } catch (const RecordError& e) {
+    throw std::runtime_error(path + ":" + std::to_string(e.line) + ": " +
+                             e.what());
   }
-  return true;
-}
-
-constexpr const char* kMetricsTag = "METRICS_JSON ";
-constexpr double kRegressionTolerance = 0.15;
-
-struct Metric {
-  double value = 0.0;
-  std::string better;  ///< "lower" | "higher"
-};
-
-struct BenchMetrics {
-  std::string bench;
-  std::map<std::string, Metric> metrics;
-};
-
-/// Parse a metrics object. Layout (fixed by bench/common.hpp
-/// write_metrics_object): quoted strings run "bench", <name>, "metrics",
-/// then per metric <metric>, "value" (": <double>" follows), "better",
-/// <lower|higher>.
-bool parse_metrics(const std::string& text, BenchMetrics& out) {
-  std::size_t pos = 0;
-  std::string key;
-  if (!next_quoted(text, pos, key) || key != "bench" ||
-      !next_quoted(text, pos, out.bench) ||
-      !next_quoted(text, pos, key) || key != "metrics") {
-    return false;
-  }
-  std::string name;
-  while (next_quoted(text, pos, name)) {
-    if (!next_quoted(text, pos, key) || key != "value") {
-      return false;
-    }
-    const std::size_t colon = text.find(':', pos);
-    if (colon == std::string::npos) {
-      return false;
-    }
-    Metric m;
-    m.value = std::stod(text.substr(colon + 1));
-    pos = colon + 1;
-    if (!next_quoted(text, pos, key) || key != "better" ||
-        !next_quoted(text, pos, m.better)) {
-      return false;
-    }
-    out.metrics[name] = m;
-  }
-  return true;
-}
-
-/// True when `run` is more than the tolerance worse than `base` in the
-/// metric's worse direction. A zero baseline (e.g. payload_copies = 0)
-/// gates any nonzero lower-is-better value.
-bool is_regression(const Metric& base, double run) {
-  if (base.better == "higher") {
-    return run < base.value * (1.0 - kRegressionTolerance);
-  }
-  return run > base.value * (1.0 + kRegressionTolerance);
 }
 
 int run_baseline_gate(const std::string& dir,
                       const std::vector<std::string>& files) {
+  const auto cell = [](const std::optional<double>& v) {
+    return v ? sessmpi::base::Table::fmt(*v, 3) : std::string("-");
+  };
   bool failed = false;
   sessmpi::base::Table table{
       {"bench", "metric", "baseline", "current", "verdict"}};
   for (const auto& file : files) {
-    std::ifstream in(file);
-    if (!in) {
-      std::cerr << "report_merge: cannot open " << file << "\n";
-      return 1;
+    const std::vector<Record> runs = read(file, false);
+    if (runs.empty()) {
+      throw std::runtime_error("no BENCH_RECORD line in " + file);
     }
-    BenchMetrics run;
-    bool found = false;
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::size_t pos = line.find(kMetricsTag);
-      if (pos == std::string::npos) {
-        continue;
+    for (const Record& run : runs) {
+      const std::string path = dir + "/BENCH_" + run.bench + ".json";
+      const Record base = read(path, true).front();
+      if (base.bench != run.bench) {
+        throw std::runtime_error(path + ":1: baseline is for " + base.bench);
       }
-      if (!parse_metrics(line.substr(pos + std::string(kMetricsTag).size()),
-                         run)) {
-        std::cerr << "report_merge: malformed METRICS_JSON in " << file
-                  << "\n";
-        return 1;
-      }
-      found = true;
-    }
-    if (!found) {
-      std::cerr << "report_merge: no METRICS_JSON block in " << file << "\n";
-      return 1;
-    }
-    const std::string base_path = dir + "/BENCH_" + run.bench + ".json";
-    std::ifstream base_in(base_path);
-    if (!base_in) {
-      std::cerr << "report_merge: missing baseline " << base_path
-                << " (create it with --bench-json=" << dir << ")\n";
-      return 1;
-    }
-    std::stringstream slurp;
-    slurp << base_in.rdbuf();
-    BenchMetrics base;
-    if (!parse_metrics(slurp.str(), base) || base.bench != run.bench) {
-      std::cerr << "report_merge: malformed baseline " << base_path << "\n";
-      return 1;
-    }
-    for (const auto& [name, m] : run.metrics) {
-      const auto it = base.metrics.find(name);
-      if (it == base.metrics.end()) {
-        std::cerr << "report_merge: warning: metric " << run.bench << "/"
-                  << name << " has no baseline yet (not gated)\n";
-        continue;
-      }
-      const bool regressed = is_regression(it->second, m.value);
-      failed = failed || regressed;
-      std::ostringstream bval;
-      bval << it->second.value;
-      std::ostringstream rval;
-      rval << m.value;
-      table.add_row({run.bench, name, bval.str(), rval.str(),
-                     regressed ? "REGRESSED" : "ok"});
-    }
-    for (const auto& [name, m] : base.metrics) {
-      if (run.metrics.find(name) == run.metrics.end()) {
-        std::cerr << "report_merge: warning: baseline metric " << run.bench
-                  << "/" << name << " missing from this run\n";
+      for (const GateRow& row : gate(base, run)) {
+        if (!row.baseline) {
+          std::cerr << "report_merge: warning: metric " << run.bench << "/"
+                    << row.metric << " has no baseline yet (not gated)\n";
+        }
+        failed = failed || row.fails;
+        table.add_row({run.bench, row.metric, cell(row.baseline),
+                       cell(row.run), row.verdict});
       }
     }
   }
   table.print(std::cout);
   if (failed) {
-    std::cerr << "report_merge: baseline gate FAILED (>"
-              << static_cast<int>(kRegressionTolerance * 100)
-              << "% regression)\n";
+    std::cerr << "report_merge: baseline gate FAILED (a metric >"
+              << static_cast<int>(kGateTolerance * 100)
+              << "% worse, or missing from the run)\n";
     return 1;
   }
   std::cout << "baseline gate: ok\n";
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: report_merge [--baseline <dir>] "
-                 "<bench-output-file>...\n";
-    return 2;
-  }
-  if (std::string(argv[1]) == "--baseline") {
-    if (argc < 4) {
-      std::cerr << "usage: report_merge --baseline <dir> "
-                   "<bench-output-file>...\n";
-      return 2;
+int run_counter_table(const std::vector<std::string>& files) {
+  std::vector<Record> runs;
+  for (const auto& file : files) {
+    const std::vector<Record> records = read(file, false);
+    if (records.empty()) {
+      std::cerr << "report_merge: no BENCH_RECORD line in " << file << "\n";
     }
-    std::vector<std::string> files;
-    for (int i = 3; i < argc; ++i) {
-      files.emplace_back(argv[i]);
-    }
-    return run_baseline_gate(argv[2], files);
-  }
-  std::vector<BenchCounters> runs;
-  for (int i = 1; i < argc; ++i) {
-    std::ifstream in(argv[i]);
-    if (!in) {
-      std::cerr << "report_merge: cannot open " << argv[i] << "\n";
-      return 1;
-    }
-    bool found = false;
-    std::string line;
-    while (std::getline(in, line)) {
-      BenchCounters bc;
-      if (parse_line(line, bc)) {
-        runs.push_back(std::move(bc));
-        found = true;
-      }
-    }
-    if (!found) {
-      std::cerr << "report_merge: no COUNTERS_JSON block in " << argv[i]
-                << "\n";
-    }
+    runs.insert(runs.end(), records.begin(), records.end());
   }
   if (runs.empty()) {
     return 1;
   }
 
-  std::set<std::string> names;
-  for (const auto& run : runs) {
-    for (const auto& [name, value] : run.values) {
-      names.insert(name);
-    }
-  }
-
   std::vector<std::string> header{"counter"};
-  for (const auto& run : runs) {
-    header.push_back(run.bench);
+  std::map<std::string, std::vector<std::string>> rows;  // one per counter
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    header.push_back(runs[i].bench);
+    for (const auto& [name, value] : runs[i].counters) {
+      auto& row = rows.try_emplace(name, runs.size() + 1, "-").first->second;
+      row[0] = name;
+      row[i + 1] = std::to_string(value);
+    }
   }
   sessmpi::base::Table table{header};
-  for (const auto& name : names) {
-    std::vector<std::string> row{name};
-    for (const auto& run : runs) {
-      auto it = run.values.find(name);
-      row.push_back(it == run.values.end() ? "-"
-                                           : std::to_string(it->second));
-    }
+  for (const auto& [name, row] : rows) {
     table.add_row(row);
   }
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bool gate_mode = argc >= 2 && std::string(argv[1]) == "--baseline";
+  const int first_file = gate_mode ? 3 : 1;
+  if (argc <= first_file) {
+    std::cerr << "usage: report_merge [--baseline <dir>] "
+                 "<bench-output-file>...\n";
+    return 2;
+  }
+  const std::vector<std::string> files(argv + first_file, argv + argc);
+  try {
+    return gate_mode ? run_baseline_gate(argv[2], files)
+                     : run_counter_table(files);
+  } catch (const std::exception& e) {
+    std::cerr << "report_merge: " << e.what() << "\n";
+    return 1;
+  }
 }
