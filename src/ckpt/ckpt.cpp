@@ -406,6 +406,9 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
             }
           }
           if (ok) {
+            // Nested in ckpt.encode so a trace splits the chunk exchange
+            // above from the GF(2^8)/XOR arithmetic here.
+            OBS_SPAN("ckpt.codec", "ckpt");
             const auto codec = make_codec(cfg_.scheme, kk, mm);
             std::vector<const std::byte*> ptrs(static_cast<std::size_t>(kk));
             for (int st = 0; st < g; ++st) {

@@ -9,7 +9,10 @@ struct Datatype::Impl {
   std::string name;
   std::size_t size = 0;    // packed bytes per element
   std::size_t extent = 0;  // memory bytes per element
-  // Derived-type structure: for contiguous, stride == blocklength.
+  // Dense: one element's packed bytes fill its extent with no gaps, so
+  // `n` elements pack as one run of n*size bytes (DESIGN.md §12).
+  bool dense = true;
+  // Derived-type structure: contiguous(n, b) is one block of n elements.
   std::shared_ptr<const Impl> base;  // null for primitives
   int count = 1;                     // blocks
   int blocklength = 1;               // base elements per block
@@ -28,44 +31,37 @@ Datatype::Impl make_primitive(Datatype::Kind kind, std::string name,
   return impl;
 }
 
-/// Pack one element of a (possibly nested) type into contiguous wire form.
-void pack_element(const Datatype::Impl& impl, const std::byte* mem,
-                  std::byte* wire) {
-  if (!impl.base) {
-    std::memcpy(wire, mem, impl.size);
-    return;
-  }
-  const Datatype::Impl& b = *impl.base;
-  std::size_t wire_off = 0;
-  for (int blk = 0; blk < impl.count; ++blk) {
-    const std::size_t mem_off =
-        static_cast<std::size_t>(blk) * static_cast<std::size_t>(impl.stride) *
-        b.extent;
-    for (int e = 0; e < impl.blocklength; ++e) {
-      pack_element(b, mem + mem_off + static_cast<std::size_t>(e) * b.extent,
-                   wire + wire_off);
-      wire_off += b.size;
-    }
-  }
+/// One run of `n` bytes; the const side says which way it goes.
+void copy_run(const std::byte* mem, std::byte* wire, std::size_t n) {
+  std::memcpy(wire, mem, n);  // pack
+}
+void copy_run(std::byte* mem, const std::byte* wire, std::size_t n) {
+  std::memcpy(mem, wire, n);  // unpack
 }
 
-/// Inverse of pack_element.
-void unpack_element(const Datatype::Impl& impl, const std::byte* wire,
-                    std::byte* mem) {
-  if (!impl.base) {
-    std::memcpy(mem, wire, impl.size);
+/// Copy `count` consecutive elements of `t` between memory, laid out by
+/// extent, and the packed wire form. A dense type is one run of count*size
+/// bytes. Otherwise each block is one run when its base is dense, and
+/// recurses into the base when it is not.
+template <typename Mem, typename Wire>
+void copy_elements(const Datatype::Impl& t, Mem* mem, Wire* wire,
+                   std::size_t count) {
+  if (t.dense) {
+    if (const std::size_t n = count * t.size; n > 0) {
+      copy_run(mem, wire, n);
+    }
     return;
   }
-  const Datatype::Impl& b = *impl.base;
-  std::size_t wire_off = 0;
-  for (int blk = 0; blk < impl.count; ++blk) {
-    const std::size_t mem_off =
-        static_cast<std::size_t>(blk) * static_cast<std::size_t>(impl.stride) *
-        b.extent;
-    for (int e = 0; e < impl.blocklength; ++e) {
-      unpack_element(b, wire + wire_off,
-                     mem + mem_off + static_cast<std::size_t>(e) * b.extent);
-      wire_off += b.size;
+  const Datatype::Impl& b = *t.base;
+  const std::size_t block_len = static_cast<std::size_t>(t.blocklength);
+  const std::size_t block_step =
+      static_cast<std::size_t>(t.stride) * b.extent;
+  for (std::size_t i = 0; i < count; ++i) {
+    Mem* elem = mem + i * t.extent;
+    for (int blk = 0; blk < t.count; ++blk) {
+      copy_elements(b, elem + static_cast<std::size_t>(blk) * block_step, wire,
+                    block_len);
+      wire += block_len * b.size;
     }
   }
 }
@@ -96,9 +92,10 @@ Datatype Datatype::contiguous(int count, const Datatype& base) {
   impl->kind = Kind::derived_k;
   impl->name = "contiguous(" + std::to_string(count) + "," + base.name() + ")";
   impl->base = base.impl_;
-  impl->count = count;
-  impl->blocklength = 1;
-  impl->stride = 1;
+  impl->dense = base.impl_->dense;
+  impl->count = 1;
+  impl->blocklength = count;
+  impl->stride = count;
   impl->size = static_cast<std::size_t>(count) * base.size();
   impl->extent = static_cast<std::size_t>(count) * base.extent();
   return Datatype{impl};
@@ -118,6 +115,7 @@ Datatype Datatype::vector(int count, int blocklength, int stride,
                std::to_string(blocklength) + "," + std::to_string(stride) +
                "," + base.name() + ")";
   impl->base = base.impl_;
+  impl->dense = base.impl_->dense && (stride == blocklength || count <= 1);
   impl->count = count;
   impl->blocklength = blocklength;
   impl->stride = stride;
@@ -140,19 +138,19 @@ bool Datatype::is_primitive() const noexcept { return impl_->base == nullptr; }
 Datatype::Kind Datatype::kind() const noexcept { return impl_->kind; }
 
 void Datatype::pack(const void* src, int count, std::byte* dst) const {
-  const auto* mem = static_cast<const std::byte*>(src);
-  for (int i = 0; i < count; ++i) {
-    pack_element(*impl_, mem + static_cast<std::size_t>(i) * impl_->extent,
-                 dst + static_cast<std::size_t>(i) * impl_->size);
+  if (count <= 0) {
+    return;
   }
+  copy_elements(*impl_, static_cast<const std::byte*>(src), dst,
+                static_cast<std::size_t>(count));
 }
 
 void Datatype::unpack(const std::byte* src, int count, void* dst) const {
-  auto* mem = static_cast<std::byte*>(dst);
-  for (int i = 0; i < count; ++i) {
-    unpack_element(*impl_, src + static_cast<std::size_t>(i) * impl_->size,
-                   mem + static_cast<std::size_t>(i) * impl_->extent);
+  if (count <= 0) {
+    return;
   }
+  copy_elements(*impl_, static_cast<std::byte*>(dst), src,
+                static_cast<std::size_t>(count));
 }
 
 template <> const Datatype& datatype_of<std::byte>() { return Datatype::byte(); }

@@ -12,9 +12,20 @@ namespace sessmpi::detail {
 
 namespace {
 
-/// Packed byte size of `count` elements.
-std::size_t packed_bytes(int count, const Datatype& dt) {
-  return static_cast<std::size_t>(count) * dt.size();
+/// Unpack a delivered payload into receive `req`, cut at its capacity
+/// (ErrClass::truncate in `st`); records the bytes delivered in `st`.
+void unpack_payload(const RequestImpl& req, const fabric::Payload& payload,
+                    Status& st) {
+  std::size_t bytes = payload.size();
+  if (bytes > req.capacity) {
+    st.error = ErrClass::truncate;
+    bytes = req.capacity;
+  }
+  if (req.dt && bytes > 0) {
+    const int elements = static_cast<int>(bytes / req.dt->size());
+    req.dt->unpack(payload.data(), elements, req.buf);
+  }
+  st.count_bytes = bytes;
 }
 
 constexpr std::uint64_t kNoStamp = std::numeric_limits<std::uint64_t>::max();
@@ -280,19 +291,7 @@ void ProcState::deliver(CommState& comm, const RequestPtr& req,
     return;  // completion happens on rndv_data
   }
 
-  // Eager payload: unpack with truncation handling.
-  const std::size_t cap =
-      req->dt ? packed_bytes(req->capacity, *req->dt) : 0;
-  std::size_t bytes = pkt.payload.size();
-  if (bytes > cap) {
-    st.error = ErrClass::truncate;
-    bytes = cap;
-  }
-  if (req->dt && bytes > 0) {
-    const int elements = static_cast<int>(bytes / req->dt->size());
-    req->dt->unpack(pkt.payload.data(), elements, req->buf);
-  }
-  st.count_bytes = bytes;
+  unpack_payload(*req, pkt.payload, st);
 
   if (pkt.token != 0) {
     // Synchronous send: acknowledge the match.
@@ -390,17 +389,7 @@ void ProcState::dispatch(fabric::Packet&& pkt) {
       recv_tokens.erase(it);
       Status st;
       st.source = req->status.source;  // set at match time? recompute below
-      const std::size_t cap = req->dt ? packed_bytes(req->capacity, *req->dt) : 0;
-      std::size_t bytes = pkt.payload.size();
-      if (bytes > cap) {
-        st.error = ErrClass::truncate;
-        bytes = cap;
-      }
-      if (req->dt && bytes > 0) {
-        const int elements = static_cast<int>(bytes / req->dt->size());
-        req->dt->unpack(pkt.payload.data(), elements, req->buf);
-      }
-      st.count_bytes = bytes;
+      unpack_payload(*req, pkt.payload, st);
       st.source = req->rndv_source;
       st.tag = req->rndv_tag;
       req->finish(st);
@@ -765,6 +754,7 @@ RequestPtr ProcState::isend_impl(const std::shared_ptr<CommState>& comm,
   if (dst < 0 || dst >= comm->size()) {
     throw Error(ErrClass::rank, "send destination out of range");
   }
+  const std::size_t bytes = packed_bytes(count, dt);
   // Lazy modex: first contact with this peer fetches its endpoint blob
   // (cache hit ever after; eager mode pre-populated the cache at init).
   resolve_endpoint(comm, dst);
@@ -773,14 +763,11 @@ RequestPtr ProcState::isend_impl(const std::shared_ptr<CommState>& comm,
   req->comm = comm.get();
   req->dst = dst;
 
-  const std::size_t bytes = packed_bytes(count, dt);
   OBS_SPAN_ARG("pml.send", "core", bytes);
   // Pack straight into a pooled, refcounted buffer: the fabric's retransmit
   // window and any local delivery then share these bytes instead of copying.
   fabric::Payload payload(bytes);
-  if (bytes > 0) {
-    dt.pack(buf, count, payload.data());
-  }
+  dt.pack(buf, count, payload.data());
 
   fabric::Packet pkt;
   pkt.src_rank = proc.rank();
@@ -863,12 +850,13 @@ RequestPtr ProcState::irecv_impl(const std::shared_ptr<CommState>& comm,
   if (src != any_source && (src < 0 || src >= comm->size())) {
     throw Error(ErrClass::rank, "receive source out of range");
   }
+  const std::size_t capacity = packed_bytes(count, dt);
   RequestPtr req = make_request();
   req->ps = this;
   req->comm = comm.get();
   req->kind = RequestImpl::Kind::recv;
   req->buf = buf;
-  req->capacity = count;
+  req->capacity = capacity;
   req->dt = dt;
   req->src = src;
   req->tag = tag;

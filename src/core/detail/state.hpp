@@ -48,7 +48,7 @@ struct RequestImpl {
 
   // Receive bookkeeping.
   void* buf = nullptr;
-  int capacity = 0;  ///< max elements
+  std::size_t capacity = 0;  ///< max packed bytes
   std::optional<Datatype> dt;
   int src = any_source;
   int tag = any_tag;
@@ -510,6 +510,16 @@ struct ProcState {
 /// wired into the "world" subsystem).
 void init_world_objects(ProcState& ps);
 void teardown_world_objects(ProcState& ps);
+
+/// Packed byte size of `count` elements of `dt`. Every path that sizes a
+/// buffer or a bounds check from a caller's count goes through here, so a
+/// negative count raises ErrClass::count before it can wrap to ~2^64.
+inline std::size_t packed_bytes(int count, const Datatype& dt) {
+  if (count < 0) {
+    throw Error(ErrClass::count, "negative count");
+  }
+  return static_cast<std::size_t>(count) * dt.size();
+}
 
 /// Tag used for round `round` of internal collective number `seq`.
 inline int internal_tag(std::uint32_t seq, int round) {

@@ -84,11 +84,9 @@ void File::write_at(std::size_t offset, const void* buf, int count,
   if (s.read_only) {
     throw Error(ErrClass::arg, "write on a read-only file");
   }
-  const std::size_t bytes = static_cast<std::size_t>(count) * dt.size();
+  const std::size_t bytes = detail::packed_bytes(count, dt);
   std::vector<std::byte> packed(bytes);
-  if (bytes > 0) {
-    dt.pack(buf, count, packed.data());
-  }
+  dt.pack(buf, count, packed.data());
   charge_io(s, bytes);
   s.fs->write(s.path, offset, packed.data(), bytes);
 }
@@ -96,14 +94,12 @@ void File::write_at(std::size_t offset, const void* buf, int count,
 int File::read_at(std::size_t offset, void* buf, int count,
                   const Datatype& dt) const {
   State& s = checked(state_);
-  const std::size_t want = static_cast<std::size_t>(count) * dt.size();
+  const std::size_t want = detail::packed_bytes(count, dt);
   std::vector<std::byte> packed(want);
   charge_io(s, want);
   const std::size_t got = s.fs->read(s.path, offset, packed.data(), want);
   const int elements = dt.size() == 0 ? 0 : static_cast<int>(got / dt.size());
-  if (elements > 0) {
-    dt.unpack(packed.data(), elements, buf);
-  }
+  dt.unpack(packed.data(), elements, buf);
   return elements;
 }
 

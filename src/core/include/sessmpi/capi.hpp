@@ -42,6 +42,7 @@ MPI_Errhandler mpi_errors_return();
 
 // --- error codes -------------------------------------------------------------
 inline constexpr int MPI_SUCCESS = 0;
+inline constexpr int MPI_ERR_COUNT = 2;
 inline constexpr int MPI_ERR_ARG = 13;
 inline constexpr int MPI_MAX_PSET_NAME_LEN = 256;
 /// Extension codes (identity mapping of base::ErrClass, like everything

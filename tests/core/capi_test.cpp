@@ -200,5 +200,33 @@ TEST(CApi, ErrorsSurfaceAsCodes) {
   });
 }
 
+TEST(CApi, NegativeCountReturnsErrCount) {
+  mpi_run(1, 2, [](sim::Process& p) {
+    MPI_Session session = MPI_SESSION_NULL;
+    ASSERT_EQ(MPI_Session_init(MPI_INFO_NULL, mpi_errors_return(), &session),
+              MPI_SUCCESS);
+    MPI_Group group = MPI_GROUP_NULL;
+    MPI_Group_from_session_pset(session, "mpi://world", &group);
+    MPI_Comm comm = MPI_COMM_NULL;
+    MPI_Comm_create_from_group(group, "capi-count", MPI_INFO_NULL,
+                               mpi_errors_return(), &comm);
+    std::int32_t v[2] = {3, 4};
+    if (p.rank() == 0) {
+      ASSERT_EQ(MPI_Send(v, 2, MPI_INT32_T, 1, 0, comm), MPI_SUCCESS);
+      EXPECT_EQ(MPI_Send(v, -1, MPI_INT32_T, 1, 0, comm), MPI_ERR_COUNT);
+    } else {
+      std::int32_t in[2] = {0, 0};
+      EXPECT_EQ(MPI_Recv(in, -1, MPI_INT32_T, 0, 0, comm, MPI_STATUS_IGNORE),
+                MPI_ERR_COUNT);
+      ASSERT_EQ(MPI_Recv(in, 2, MPI_INT32_T, 0, 0, comm, MPI_STATUS_IGNORE),
+                MPI_SUCCESS);
+      EXPECT_EQ(in[1], 4);
+    }
+    MPI_Comm_free(&comm);
+    MPI_Group_free(&group);
+    MPI_Session_finalize(&session);
+  });
+}
+
 }  // namespace
 }  // namespace sessmpi::capi

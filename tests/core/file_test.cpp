@@ -7,6 +7,7 @@
 namespace sessmpi {
 namespace {
 
+using testing::expect_error_class;
 using testing::mpi_run;
 using testing::world_run;
 
@@ -160,6 +161,19 @@ TEST(File, FilesPersistAcrossInitCycles) {
       c.free();
       s.finalize();
     }
+  });
+}
+
+TEST(File, NegativeCountRaisesCountError) {
+  world_run(1, 1, [](sim::Process&) {
+    File f = File::open(comm_self(), "sim:/neg.bin");
+    std::int32_t v[2] = {1, 2};
+    expect_error_class(ErrClass::count,
+                       [&] { f.write_at(0, v, -1, Datatype::int32()); });
+    expect_error_class(ErrClass::count,
+                       [&] { f.read_at(0, v, -1, Datatype::int32()); });
+    EXPECT_EQ(f.file_size(), 0u);
+    f.close();
   });
 }
 

@@ -5,6 +5,8 @@
 
 #include <functional>
 
+#include <gtest/gtest.h>
+
 #include "sessmpi/mpi.hpp"
 #include "sessmpi/sim/cluster.hpp"
 
@@ -32,6 +34,17 @@ inline void world_run(int nodes, int ppn,
     body(p);
     finalize();
   });
+}
+
+/// Run `fn` and require it to raise an Error of class `cls`.
+template <typename Fn>
+void expect_error_class(base::ErrClass cls, Fn&& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "no error raised";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.error_class(), cls) << e.what();
+  }
 }
 
 }  // namespace sessmpi::testing

@@ -9,6 +9,7 @@
 namespace sessmpi {
 namespace {
 
+using testing::expect_error_class;
 using testing::world_run;
 
 TEST(Pt2Pt, BasicSendRecv) {
@@ -301,6 +302,102 @@ INSTANTIATE_TEST_SUITE_P(Shapes, Pt2PtShapes,
                          ::testing::Values(ShapeParam{1, 2}, ShapeParam{1, 8},
                                            ShapeParam{2, 2}, ShapeParam{4, 1},
                                            ShapeParam{2, 6}));
+
+TEST(Pt2Pt, RendezvousIntoStridedVectorType) {
+  // 256 KiB sent dense and received through vector(8192, 8, 10, int32):
+  // every 8-int block lands in place and every 2-int gap keeps its sentinel.
+  constexpr int kBlocks = 8192;
+  constexpr int kBlockLen = 8;
+  constexpr int kStride = 10;
+  constexpr int kInts = kBlocks * kBlockLen;
+  constexpr std::int32_t kGap = -1;
+  world_run(2, 1, [&](sim::Process& p) {
+    Communicator world = comm_world();
+    if (p.rank() == 0) {
+      std::vector<std::int32_t> data(kInts);
+      std::iota(data.begin(), data.end(), 0);
+      world.send(data.data(), kInts, Datatype::int32(), 1, 0);
+    } else {
+      const Datatype strided =
+          Datatype::vector(kBlocks, kBlockLen, kStride, Datatype::int32());
+      ASSERT_EQ(strided.size(), std::size_t{256} * 1024);
+      ASSERT_GT(strided.size(), kEagerLimit);
+      std::vector<std::int32_t> mem(strided.extent() / 4 + 16, kGap);
+      const Status st = world.recv(mem.data(), 1, strided, 0, 0);
+      EXPECT_EQ(st.count_bytes, strided.size());
+      std::size_t wrong = 0;
+      for (std::size_t i = 0; i < mem.size(); ++i) {
+        const std::size_t blk = i / kStride;
+        const std::size_t off = i % kStride;
+        const bool data = blk < kBlocks && off < kBlockLen;
+        const std::int32_t want =
+            data ? static_cast<std::int32_t>(blk * kBlockLen + off) : kGap;
+        wrong += mem[i] != want ? 1 : 0;
+      }
+      EXPECT_EQ(wrong, 0u) << "elements or gaps differ from the sent pattern";
+    }
+  });
+}
+
+TEST(Pt2Pt, TruncatedRendezvousStopsAtCapacity) {
+  // A 2*kEagerLimit-byte rendezvous into a receive of kEagerLimit + 4 bytes:
+  // what fits arrives, ErrClass::truncate is reported, nothing past the
+  // capacity is written.
+  const int sent = static_cast<int>(kEagerLimit / 2);  // int32 elements
+  const int cap = static_cast<int>(kEagerLimit / 4) + 1;
+  constexpr std::int32_t kSentinel = -7;
+  world_run(2, 1, [&](sim::Process& p) {
+    Communicator world = comm_world();
+    world.set_errhandler(Errhandler::errors_return());
+    if (p.rank() == 0) {
+      std::vector<std::int32_t> data(static_cast<std::size_t>(sent));
+      std::iota(data.begin(), data.end(), 0);
+      world.send(data.data(), sent, Datatype::int32(), 1, 0);
+    } else {
+      std::vector<std::int32_t> buf(static_cast<std::size_t>(cap) + 16,
+                                    kSentinel);
+      expect_error_class(ErrClass::truncate, [&] {
+        world.recv(buf.data(), cap, Datatype::int32(), 0, 0);
+      });
+      for (int i = 0; i < cap; ++i) {
+        EXPECT_EQ(buf[static_cast<std::size_t>(i)], i);
+      }
+      for (std::size_t i = static_cast<std::size_t>(cap); i < buf.size(); ++i) {
+        EXPECT_EQ(buf[i], kSentinel) << "written past capacity at " << i;
+      }
+    }
+  });
+}
+
+TEST(Pt2Pt, NegativeCountRaisesCountError) {
+  // Unchecked, a receive of count -1 takes a whole message with no
+  // truncation and a send asks for a ~2^64-byte payload.
+  world_run(1, 2, [](sim::Process& p) {
+    Communicator world = comm_world();
+    world.set_errhandler(Errhandler::errors_return());
+    const std::int32_t out[2] = {5, 6};
+    if (p.rank() == 0) {
+      world.send(out, 2, Datatype::int32(), 1, 0);
+      expect_error_class(ErrClass::count, [&] {
+        world.send(out, -1, Datatype::int32(), 1, 0);
+      });
+      expect_error_class(ErrClass::count, [&] {
+        world.isend(out, -1, Datatype::int32(), 1, 0);
+      });
+    } else {
+      std::int32_t in[2] = {0, 0};
+      expect_error_class(ErrClass::count, [&] {
+        world.recv(in, -1, Datatype::int32(), 0, 0);
+      });
+      expect_error_class(ErrClass::count, [&] {
+        world.irecv(in, -1, Datatype::int32(), 0, 0);
+      });
+      EXPECT_EQ(in[0], 0);
+      world.recv(in, 2, Datatype::int32(), 0, 0);
+      EXPECT_EQ(in[1], 6);
+    }
+  });
+}
 
 }  // namespace
 }  // namespace sessmpi

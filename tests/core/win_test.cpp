@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "harness.hpp"
@@ -9,6 +10,7 @@
 namespace sessmpi {
 namespace {
 
+using testing::expect_error_class;
 using testing::mpi_run;
 using testing::world_run;
 
@@ -158,6 +160,41 @@ TEST(Win, LargeRendezvousPut) {
     if (p.rank() == 1) {
       EXPECT_EQ(window[n - 1], std::byte{0x5A});
     }
+    win.free();
+  });
+}
+
+TEST(Win, NegativeCountRaisesCountError) {
+  // Count -1 of int32 at displacement 4 would wrap disp + bytes to 0 and
+  // the put message to kRmaHeaderBytes - 4 bytes: refuse it first.
+  world_run(1, 2, [](sim::Process&) {
+    std::vector<std::byte> window(16);
+    Win win = Win::create(window.data(), window.size(), comm_world());
+    std::int32_t v[2] = {0, 0};
+    expect_error_class(ErrClass::count,
+                       [&] { win.put(v, -1, Datatype::int32(), 1, 4); });
+    expect_error_class(ErrClass::count,
+                       [&] { win.get(v, -1, Datatype::int32(), 1, 4); });
+    expect_error_class(ErrClass::count, [&] {
+      win.accumulate(v, -1, Datatype::int32(), Op::sum(), 1, 4);
+    });
+    win.fence();
+    win.free();
+  });
+}
+
+TEST(Win, BoundsCheckDoesNotWrapAtHugeDisplacement) {
+  // disp + bytes wraps to a small number here; the check must not sum.
+  world_run(1, 2, [](sim::Process&) {
+    std::vector<std::byte> window(16);
+    Win win = Win::create(window.data(), window.size(), comm_world());
+    std::int64_t v = 0;
+    const std::size_t huge = std::numeric_limits<std::size_t>::max() - 3;
+    EXPECT_THROW(win.put(&v, 1, Datatype::int64(), 1, huge), Error);
+    EXPECT_THROW(win.get(&v, 1, Datatype::int64(), 1, huge), Error);
+    EXPECT_THROW(win.accumulate(&v, 1, Datatype::int64(), Op::sum(), 1, huge),
+                 Error);
+    win.fence();
     win.free();
   });
 }
