@@ -4,9 +4,10 @@
 // (src/ckpt/codec_rs.cpp). The field is GF(2)[x]/(x^8+x^4+x^3+x^2+1)
 // (polynomial 0x11d, the AES-unrelated "Rijndael's cousin" every RAID-6
 // implementation uses), represented as log/antilog tables over the
-// generator 0x02. Header-only and constexpr-built: the tables are
-// computed at compile time, so there is no init-order footgun and the
-// codec can be unit-tested as pure arithmetic.
+// generator 0x02. The scalar operations are header-only and constexpr-built:
+// the tables are computed at compile time, so there is no init-order
+// footgun and the codec can be unit-tested as pure arithmetic. The bulk
+// multiply-accumulate (mul_add) lives out of line in gf256.cpp.
 //
 // Also provides the Cauchy parity-matrix element used to build systematic
 // MDS codes: with x_i = k + i and y_j = j, every square submatrix of
@@ -81,28 +82,20 @@ inline constexpr Tables kTables = build_tables();
   return inv(static_cast<std::uint8_t>((k + i) ^ j));
 }
 
-/// dst[0..len) ^= coef * src[0..len) — the inner loop of both encode and
-/// decode. coef == 1 degenerates to pure XOR (the RAID-5 case).
-inline void mul_add(std::byte* dst, const std::byte* src, std::size_t len,
-                    std::uint8_t coef) noexcept {
-  if (coef == 0) {
-    return;
-  }
-  if (coef == 1) {
-    for (std::size_t i = 0; i < len; ++i) {
-      dst[i] ^= src[i];
-    }
-    return;
-  }
-  const std::uint8_t logc = detail::kTables.log[coef];
-  for (std::size_t i = 0; i < len; ++i) {
-    const auto s = static_cast<std::uint8_t>(src[i]);
-    if (s != 0) {
-      dst[i] ^= static_cast<std::byte>(
-          detail::kTables.exp[static_cast<std::size_t>(logc) +
-                              detail::kTables.log[s]]);
-    }
-  }
-}
+/// dst[0..len) ^= coef * src[0..len) — the inner loop of RS encode, RS
+/// reconstruct and the XOR codec (coef == 1). A nibble split-table kernel
+/// (gf256.cpp): coef * s = lo[s & 15] ^ hi[s >> 4] with two 16-entry
+/// product tables built per call, applied 16 bytes per SSSE3 `pshufb` on
+/// x86-64 CPUs that report SSSE3, and by mul_add_portable elsewhere. Both
+/// paths produce the same bytes as a per-byte mul().
+void mul_add(std::byte* dst, const std::byte* src, std::size_t len,
+             std::uint8_t coef) noexcept;
+
+/// The portable path: expands the same split tables into coef's 256-entry
+/// product row, then does one lookup per byte. What mul_add runs where the
+/// SIMD path is unavailable, exposed so tests can check both paths on a
+/// machine that has the SIMD one.
+void mul_add_portable(std::byte* dst, const std::byte* src, std::size_t len,
+                      std::uint8_t coef) noexcept;
 
 }  // namespace sessmpi::base::gf256

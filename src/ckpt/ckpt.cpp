@@ -359,49 +359,51 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
           staging.set.chunk_len = clen;
           mine.resize(static_cast<std::size_t>(kk) * clen);  // zero-pad
 
-          // Receive the data chunks of every stripe I hold parity for
-          // (sub-tag 2 + stripe*g + chunk), send my own chunks to their
-          // stripes' parity holders.
-          struct ChunkRecv {
-            int stripe = 0;
-            int j = 0;
+          // Chunk exchange (sub-tag 2): one message per (member, holder)
+          // pair. The chunks a member owes a holder form one consecutive
+          // run of its padded blob (SetLayout::chunk_run), so each send is
+          // a slice of `mine` and each holder posts one buffer per source.
+          struct RunRecv {
+            ChunkRun run;
             std::vector<std::byte> buf;
             detail::RequestPtr req;
           };
-          std::vector<std::unique_ptr<ChunkRecv>> incoming;
-          for (int st = 0; st < g; ++st) {
-            if (lay.parity_index(st, idx) < 0) {
+          std::vector<RunRecv> incoming(static_cast<std::size_t>(g));
+          for (int x = 0; x < g; ++x) {
+            RunRecv& rr = incoming[static_cast<std::size_t>(x)];
+            rr.run = lay.chunk_run(x, idx);
+            if (rr.run.size() == 0) {
               continue;
             }
-            for (int j = 0; j < kk; ++j) {
-              auto cr = std::make_unique<ChunkRecv>();
-              cr->stripe = st;
-              cr->j = j;
-              cr->buf.resize(clen);
-              cr->req = ps.irecv_impl(
-                  s, cr->buf.data(), static_cast<int>(clen),
-                  datatype_of<std::byte>(), lay.first + lay.data_member(st, j),
-                  detail::ckpt_tag(seq, 2 + st * g + j));
-              cleanup.push_back(cr->req);
-              incoming.push_back(std::move(cr));
-            }
+            rr.buf.resize(static_cast<std::size_t>(rr.run.size()) * clen);
+            rr.req = ps.irecv_impl(s, rr.buf.data(),
+                                   static_cast<int>(rr.buf.size()),
+                                   datatype_of<std::byte>(), lay.first + x,
+                                   detail::ckpt_tag(seq, 2));
+            cleanup.push_back(rr.req);
           }
-          for (int j = 0; j < kk; ++j) {
-            const int st = lay.stripe_of_chunk(idx, j);
-            for (int i = 0; i < mm; ++i) {
-              ps.isend_impl(
-                  s, mine.data() + static_cast<std::size_t>(j) * clen,
-                  static_cast<int>(clen), datatype_of<std::byte>(),
-                  lay.first + lay.parity_member(st, i),
-                  detail::ckpt_tag(seq, 2 + st * g + j), /*sync=*/false);
+          for (int h = 0; h < g; ++h) {
+            const ChunkRun run = lay.chunk_run(idx, h);
+            if (run.size() == 0) {
+              continue;
             }
+            const std::size_t off =
+                static_cast<std::size_t>(run.begin) * clen;
+            const std::size_t bytes =
+                static_cast<std::size_t>(run.size()) * clen;
+            ps.isend_impl(s, mine.data() + off, static_cast<int>(bytes),
+                          datatype_of<std::byte>(), lay.first + h,
+                          detail::ckpt_tag(seq, 2), /*sync=*/false);
           }
+          const auto received = [](const RunRecv& r) {
+            return r.req == nullptr || r.req->done();
+          };
           ps.progress_until([&] {
-            return std::all_of(incoming.begin(), incoming.end(),
-                               [](const auto& c) { return c->req->done(); });
+            return std::all_of(incoming.begin(), incoming.end(), received);
           });
-          for (const auto& c : incoming) {
-            if (c->req->status.error != ErrClass::success) {
+          for (const auto& rr : incoming) {
+            if (rr.req != nullptr &&
+                rr.req->status.error != ErrClass::success) {
               ok = false;
             }
           }
@@ -416,10 +418,14 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
               if (pi < 0) {
                 continue;
               }
-              for (const auto& c : incoming) {
-                if (c->stripe == st) {
-                  ptrs[static_cast<std::size_t>(c->j)] = c->buf.data();
-                }
+              // Data chunk j of stripe st is chunk j of member st + j,
+              // which sits in that member's run at offset j - run.begin.
+              for (int j = 0; j < kk; ++j) {
+                const RunRecv& rr = incoming[static_cast<std::size_t>(
+                    lay.data_member(st, j))];
+                ptrs[static_cast<std::size_t>(j)] =
+                    rr.buf.data() +
+                    static_cast<std::size_t>(j - rr.run.begin) * clen;
               }
               std::vector<std::byte> out(clen);
               codec->encode(pi, ptrs.data(), clen, out.data());

@@ -77,6 +77,7 @@ class RsCodec final : public SetCodec {
     }
 
     // Gaussian elimination to identity, mirroring every row op onto rhs.
+    std::vector<std::byte> scaled(len);
     for (std::size_t col = 0; col < e; ++col) {
       std::size_t pivot = col;
       while (pivot < e && a[pivot * e + col] == 0) {
@@ -95,10 +96,11 @@ class RsCodec final : public SetCodec {
       for (std::size_t c = 0; c < e; ++c) {
         a[col * e + c] = gf::mul(a[col * e + c], pinv);
       }
-      for (std::size_t i = 0; i < len; ++i) {
-        rhs[col][i] = static_cast<std::byte>(
-            gf::mul(static_cast<std::uint8_t>(rhs[col][i]), pinv));
-      }
+      // Scale the pivot row through the bulk kernel: accumulate into a
+      // zeroed scratch row, then swap it in.
+      std::fill(scaled.begin(), scaled.end(), std::byte{0});
+      gf::mul_add(scaled.data(), rhs[col].data(), len, pinv);
+      rhs[col].swap(scaled);
       for (std::size_t r = 0; r < e; ++r) {
         if (r == col || a[r * e + col] == 0) {
           continue;

@@ -89,7 +89,7 @@ struct Config {
   int partner_offset = 1;
   /// Erasure-set shape: k data + m parity members per set. Any <= m
   /// simultaneous failures within one set restore from parity. Constraint
-  /// beyond the codec's: k + m <= 31 (chunk-exchange tag budget).
+  /// beyond the codec's: k + m <= 31 (the restore exchange's tag budget).
   int set_data = 4;
   int set_parity = 2;
   /// Also write each rank's snapshot to the shared SimFs (slowest, most

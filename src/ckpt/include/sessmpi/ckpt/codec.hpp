@@ -22,6 +22,7 @@
 // uses m' = min(m, g' - 1) parities over k' = g' - m' data chunks (a
 // 2-member RS set is plain duplication; a 1-member set has no redundancy).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -34,6 +35,14 @@ enum class Scheme {
   partner,       ///< full copy on (r + offset) mod n — SCR PARTNER
   xor_parity,    ///< rotated XOR sets (RAID-5): m = 1 per set
   reed_solomon,  ///< rotated Reed-Solomon sets: any <= m failures per set
+};
+
+/// Half-open run [begin, end) of one member's chunk indices.
+struct ChunkRun {
+  int begin = 0;
+  int end = 0;
+
+  [[nodiscard]] int size() const noexcept { return end - begin; }
 };
 
 /// One redundancy set: `size` consecutive comm ranks starting at `first`,
@@ -64,6 +73,16 @@ struct SetLayout {
   [[nodiscard]] int parity_index(int s, int idx) const noexcept {
     const int pos = (idx - s + size) % size;
     return pos >= data ? pos - data : -1;
+  }
+  /// The chunks of `member` that `holder` keeps parity for. With d =
+  /// (holder - member) mod size, member's chunk j sits at stripe position
+  /// (d + j) mod size, a parity position iff d + j lies in [data, size) —
+  /// one consecutive run of j. It is empty for holder == member (a member
+  /// holds data, never parity, in the stripes its own chunks feed), so the
+  /// save exchange sends each holder one contiguous slice of the blob.
+  [[nodiscard]] ChunkRun chunk_run(int member, int holder) const noexcept {
+    const int d = (holder - member + size) % size;
+    return {std::max(0, data - d), std::min(data, size - d)};
   }
 };
 

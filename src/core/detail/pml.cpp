@@ -427,6 +427,10 @@ void ProcState::dispatch(fabric::Packet&& pkt) {
       }
       return;
     }
+    case PacketKind::flow_ack:
+      // Fabric-internal: the reliability layer consumes its ACKs before
+      // delivery, so none reaches the PML.
+      return;
   }
 }
 

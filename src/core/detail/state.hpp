@@ -534,10 +534,12 @@ inline int internal_tag(std::uint32_t seq, int round) {
 inline constexpr int kCkptTagBase = -(1 << 27);
 
 /// Tag for sub-step `sub` of checkpoint collective number `seq`. 1024
-/// sub-tags per save: sub 0 = size exchange, sub 1 = partner blob, and
-/// sub 2 + stripe*set_size + chunk for the erasure-set chunk traffic
-/// (which caps redundancy sets at k + m <= 31 members). The offset tops
-/// out at 2^26 - 1, keeping the whole band above kFtTagBase (-2^28).
+/// sub-tags per collective. A save uses sub 0 = size exchange, sub 1 =
+/// partner blob and sub 2 = erasure-set chunk runs (one message per
+/// member/holder pair, so one sub-tag suffices). A restore tags its
+/// per-stripe chunk transfers 2 + stripe*set_size + position, which is
+/// what caps redundancy sets at k + m <= 31 members. The offset tops out
+/// at 2^26 - 1, keeping the whole band above kFtTagBase (-2^28).
 inline int ckpt_tag(std::uint32_t seq, int sub) {
   return kCkptTagBase - static_cast<int>((seq % (1u << 16)) * 1024u) - sub;
 }

@@ -59,7 +59,7 @@ bool CollectiveEngine::try_abort_locked(
 
 CollectiveEngine::Outcome CollectiveEngine::arrive(
     const std::string& key, const std::vector<ProcId>& participants,
-    ProcId self, std::optional<base::Nanos> timeout,
+    [[maybe_unused]] ProcId self, std::optional<base::Nanos> timeout,
     const std::function<std::uint64_t()>& on_complete,
     std::int64_t post_release_delay_ns) {
   std::unique_lock lock(mu_);

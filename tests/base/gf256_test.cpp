@@ -135,23 +135,48 @@ TEST(Gf256, EverySquareCauchySubmatrixIsInvertible) {
 }
 
 TEST(Gf256, MulAddMatchesScalarReference) {
-  std::array<std::byte, 64> src{};
+  // Every coefficient, every length from 0 through four 16-byte SIMD
+  // blocks plus each possible tail, at every src and dst offset within a
+  // 16-byte block: the dispatched kernel (SIMD where the CPU has it) and
+  // the portable loop must both equal a per-byte mul(), and neither may
+  // touch a byte outside dst[0..len).
+  constexpr std::size_t kMaxLen = 67;
+  constexpr std::size_t kOffsets = 16;
+  using Buf = std::array<std::byte, kMaxLen + kOffsets>;
+  Buf src{};
+  Buf dst0{};
   for (std::size_t i = 0; i < src.size(); ++i) {
     src[i] = static_cast<std::byte>(37 * i + 11);
+    dst0[i] = static_cast<std::byte>(5 * i + 3);
   }
-  for (const int coef : {0, 1, 2, 0x53, 0xff}) {
-    std::array<std::byte, 64> dst{};
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      dst[i] = static_cast<std::byte>(5 * i + 3);
+  using Kernel = void (*)(std::byte*, const std::byte*, std::size_t,
+                          std::uint8_t) noexcept;
+  const std::pair<const char*, Kernel> kernels[] = {
+      {"mul_add", &mul_add}, {"mul_add_portable", &mul_add_portable}};
+  for (int c = 0; c < 256; ++c) {
+    const auto coef = static_cast<std::uint8_t>(c);
+    std::array<std::uint8_t, 256> product{};
+    for (int b = 0; b < 256; ++b) {
+      product[static_cast<std::size_t>(b)] =
+          mul(coef, static_cast<std::uint8_t>(b));
     }
-    auto want = dst;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      want[i] ^= static_cast<std::byte>(mul(static_cast<std::uint8_t>(coef),
-                                            static_cast<std::uint8_t>(src[i])));
+    for (std::size_t so = 0; so < kOffsets; ++so) {
+      for (std::size_t doff = 0; doff < kOffsets; ++doff) {
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+          Buf want = dst0;
+          for (std::size_t i = 0; i < len; ++i) {
+            want[doff + i] ^= static_cast<std::byte>(
+                product[static_cast<std::uint8_t>(src[so + i])]);
+          }
+          for (const auto& [name, kernel] : kernels) {
+            Buf dst = dst0;
+            kernel(dst.data() + doff, src.data() + so, len, coef);
+            ASSERT_EQ(dst, want) << name << " coef=" << c << " len=" << len
+                                 << " src_off=" << so << " dst_off=" << doff;
+          }
+        }
+      }
     }
-    mul_add(dst.data(), src.data(), dst.size(),
-            static_cast<std::uint8_t>(coef));
-    EXPECT_EQ(dst, want) << "coef=" << coef;
   }
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sessmpi/base/error.hpp"
+#include "sessmpi/base/gf256.hpp"
 
 namespace sessmpi::ckpt {
 namespace {
@@ -76,6 +77,57 @@ TEST(Codec, EveryMemberHoldsExactlyOneChunkPerStripe) {
     // loses at most one chunk per stripe per dead member.
     EXPECT_EQ(holders.size(), static_cast<std::size_t>(s.size));
   }
+}
+
+TEST(Codec, ChunkRunsAreConsecutiveAndCoverEachChunkMTimes) {
+  // The save exchange sends each (member, holder) pair one message: the
+  // slice chunk_run(member, holder) of the member's padded blob. That is
+  // only sound if the chunks a holder keeps parity for form one
+  // consecutive run, and if the runs together deliver every chunk to
+  // exactly the m holders parity_index names. Check every set shape the
+  // checkpointer accepts (g = k + m <= 31, m < g): 496 shapes.
+  int shapes = 0;
+  for (int g = 1; g <= 31; ++g) {
+    for (int m = 0; m < g; ++m) {
+      ++shapes;
+      const SetLayout s{0, g, g - m, m};
+      for (int x = 0; x < g; ++x) {
+        std::vector<int> receivers(static_cast<std::size_t>(s.data), 0);
+        for (int h = 0; h < g; ++h) {
+          const ChunkRun run = s.chunk_run(x, h);
+          ASSERT_LE(0, run.begin) << "g=" << g << " m=" << m;
+          ASSERT_LE(run.begin, run.end) << "g=" << g << " m=" << m;
+          ASSERT_LE(run.end, s.data) << "g=" << g << " m=" << m;
+          if (h == x) {
+            ASSERT_EQ(run.size(), 0) << "member sends to itself: g=" << g
+                                     << " m=" << m << " x=" << x;
+          }
+          // The run is exactly the set of x's chunks whose stripe has h
+          // as a parity holder — so that set is consecutive.
+          for (int j = 0; j < s.data; ++j) {
+            const bool holds =
+                s.parity_index(s.stripe_of_chunk(x, j), h) >= 0;
+            ASSERT_EQ(holds, j >= run.begin && j < run.end)
+                << "g=" << g << " m=" << m << " x=" << x << " h=" << h
+                << " j=" << j;
+            receivers[static_cast<std::size_t>(j)] += holds ? 1 : 0;
+          }
+        }
+        for (int j = 0; j < s.data; ++j) {
+          ASSERT_EQ(receivers[static_cast<std::size_t>(j)], m)
+              << "g=" << g << " m=" << m << " x=" << x << " j=" << j;
+          // ...and those m holders are the stripe's parity members.
+          const int st = s.stripe_of_chunk(x, j);
+          for (int i = 0; i < m; ++i) {
+            const ChunkRun run = s.chunk_run(x, s.parity_member(st, i));
+            ASSERT_TRUE(j >= run.begin && j < run.end)
+                << "g=" << g << " m=" << m << " x=" << x << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(shapes, 496);
 }
 
 TEST(Codec, XorRoundTripsAnySingleDataLoss) {
@@ -217,6 +269,38 @@ TEST(Codec, ReedSolomonRoundTripsEveryLossPatternUpToM) {
                   std::vector<std::byte>(len, std::byte{0}));
       }
     }
+  }
+}
+
+TEST(Codec, ReedSolomonParityMatchesPerByteReference) {
+  // Golden check for the bulk GF(2^8) kernel: every parity byte of a
+  // seeded RS(6, 2) stripe equals the per-byte log/exp definition
+  // p_i[b] = sum_j mul(cauchy(k, i, j), d_j[b]). The chunk length is not
+  // a multiple of 16, so the kernel's SIMD body and its tail both count.
+  constexpr int k = 6;
+  constexpr int m = 2;
+  constexpr std::size_t len = 10'925;
+  const auto codec = make_codec(Scheme::reed_solomon, k, m);
+  std::vector<std::vector<std::byte>> data;
+  std::vector<const std::byte*> dptr;
+  for (int j = 0; j < k; ++j) {
+    data.push_back(chunk_bytes(300 + j, len));
+    dptr.push_back(data.back().data());
+  }
+  for (int i = 0; i < m; ++i) {
+    std::vector<std::byte> got(len);
+    codec->encode(i, dptr.data(), len, got.data());
+    std::vector<std::byte> want(len, std::byte{0});
+    for (std::size_t b = 0; b < len; ++b) {
+      std::uint8_t acc = 0;
+      for (int j = 0; j < k; ++j) {
+        acc ^= base::gf256::mul(
+            base::gf256::cauchy(k, i, j),
+            static_cast<std::uint8_t>(data[static_cast<std::size_t>(j)][b]));
+      }
+      want[b] = static_cast<std::byte>(acc);
+    }
+    ASSERT_EQ(got, want) << "parity " << i;
   }
 }
 

@@ -1,8 +1,9 @@
 // Erasure-coded checkpointing and async-drain tests on the simulated
 // cluster: parity-only restores after multi-failures inside and across
-// redundancy sets, beyond-tolerance failures with and without a durable
-// spill, death mid-drain (falls back to the previous durable epoch), and
-// the fault-injected retry/backoff path of the drain pipeline.
+// redundancy sets (tail sets included), the save exchange's message count,
+// beyond-tolerance failures with and without a durable spill, death
+// mid-drain (falls back to the previous durable epoch), and the
+// fault-injected retry/backoff path of the drain pipeline.
 
 #include <gtest/gtest.h>
 
@@ -11,13 +12,16 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "../core/harness.hpp"
+#include "detail/state.hpp"
 #include "sessmpi/base/stats.hpp"
 #include "sessmpi/ckpt/ckpt.hpp"
 #include "sessmpi/ft/ft.hpp"
@@ -156,6 +160,87 @@ TEST(CkptErasure, XorRestoresOneKillPerSetAcrossSets) {
   got.expect_owners({1, 5}, kBytes, 1);
   EXPECT_EQ(got.from_parity, 2);
   EXPECT_EQ(got.from_fs, 0);
+}
+
+TEST(CkptErasure, RsTailSetSavesAndRestoresTwoKillsInTheFullSet) {
+  // 11 ranks in RS(6, 2) sets: a full set {0..7} and a tail set {8, 9, 10}
+  // that keeps both parities over one data chunk. The blob size makes the
+  // full set's chunk runs a mix of eager (one chunk) and rendezvous (two
+  // chunks) messages, and two deaths in the full set make the restore
+  // solve a 2x2 system, scaling pivot rows through the bulk kernel.
+  constexpr int kRanks = 11;
+  constexpr std::size_t kBytes = 20'000;
+  std::atomic<int> saved{0};
+  Adopted got;
+  world_run(1, kRanks, [&](sim::Process& p) {
+    const int me = static_cast<int>(p.rank());
+    std::vector<std::uint8_t> data = payload(me, 1, kBytes);
+    ckpt::Config cfg;
+    cfg.scheme = ckpt::Scheme::reed_solomon;
+    cfg.set_data = 6;
+    cfg.set_parity = 2;
+    ckpt::Checkpointer ck("rstail", cfg);
+    ck.register_dataset("data", data.data(), data.size());
+    EXPECT_EQ(ck.save(comm_world()), 1u);
+    kill_and_restore(p, ck, data, kBytes, {2, 5}, &saved, kRanks, &got);
+  });
+  got.expect_owners({2, 5}, kBytes, 1);
+  EXPECT_EQ(got.from_parity, 2);
+  EXPECT_EQ(got.from_fs, 0);
+}
+
+TEST(CkptErasure, RsSaveSendsOneChunkMessagePerParityHolder) {
+  // Traffic witness for the save exchange: on a 2x4 comm, one RS(6, 2)
+  // set, every member owes each of the 7 other members one consecutive
+  // run of its chunks, so the chunk phase is 8 x 7 = 56 messages. One
+  // message per chunk per parity holder would be 8 x 6 x 2 = 96. Count
+  // the message headers (eager or rendezvous RTS) carrying a tag from
+  // save 0's chunk band, once per (src, dst, pml seq) so a retransmit
+  // cannot count twice.
+  std::mutex mu;
+  std::set<std::tuple<int, int, std::uint32_t>> msgs;
+  std::map<int, int> per_src;
+  const auto starts_message = [](fabric::PacketKind k) {
+    return k == fabric::PacketKind::eager ||
+           k == fabric::PacketKind::eager_ext ||
+           k == fabric::PacketKind::rndv_rts ||
+           k == fabric::PacketKind::rndv_rts_ext;
+  };
+  world_run(2, 4, [&](sim::Process& p) {
+    const int me = static_cast<int>(p.rank());
+    if (me == 0) {
+      p.cluster().fabric().set_drop_filter([&](const fabric::Packet& pkt) {
+        const int tag = pkt.match.tag;
+        if (starts_message(pkt.kind) && tag <= detail::ckpt_tag(0, 2) &&
+            tag >= detail::ckpt_tag(0, 1023)) {
+          std::lock_guard lk(mu);
+          if (msgs.emplace(pkt.src_rank, pkt.dst_rank, pkt.match.seq)
+                  .second) {
+            ++per_src[pkt.src_rank];
+          }
+        }
+        return false;  // observe only
+      });
+    }
+    comm_world().barrier();
+    std::vector<std::uint8_t> data = payload(me, 1, 64 * 1024);
+    ckpt::Config cfg;
+    cfg.scheme = ckpt::Scheme::reed_solomon;
+    cfg.set_data = 6;
+    cfg.set_parity = 2;
+    ckpt::Checkpointer ck("rswitness", cfg);
+    ck.register_dataset("data", data.data(), data.size());
+    EXPECT_EQ(ck.save(comm_world()), 1u);
+    comm_world().barrier();
+    if (me == 0) {
+      p.cluster().fabric().set_drop_filter(nullptr);
+    }
+  });
+  EXPECT_EQ(msgs.size(), 56u);
+  ASSERT_EQ(per_src.size(), 8u);
+  for (const auto& [src, count] : per_src) {
+    EXPECT_EQ(count, 7) << "rank " << src;
+  }
 }
 
 TEST(CkptErasure, BeyondParityToleranceIsUnrecoverableWithoutSpill) {
