@@ -188,20 +188,21 @@ struct Ctx {
   ProcState& ps;
   const std::shared_ptr<CommState>& s;
   const Plan& p;
+  NodeShared* region;  ///< this communicator's; null when alone on the node
   std::uint64_t base;  ///< (coll_seq + 1) * kOpStride: this op's ordinal base
   std::uint32_t seq;
 };
 
-Ctx make_ctx(ProcState& ps, const std::shared_ptr<CommState>& s, const Plan& p,
-             std::uint32_t seq) {
-  return Ctx{ps, s, p,
+Ctx make_ctx(ProcState& ps, const std::shared_ptr<CommState>& s,
+             const coll::PlanView& view, std::uint32_t seq) {
+  return Ctx{ps, s, *view, view.region.get(),
              (static_cast<std::uint64_t>(seq) + 1) * NodeShared::kOpStride,
              seq};
 }
 
 [[noreturn]] void poison_throw(const Ctx& c, ErrClass cls, const char* what) {
-  if (c.p.region) {
-    c.p.region->poison(cls);
+  if (c.region) {
+    c.region->poison(cls);
     static const auto c_poisons = base::counter("coll.poisons");
     c_poisons.add();
   }
@@ -216,8 +217,8 @@ void liveness_check(const Ctx& c) {
   if (cluster.aborted()) {
     throw Error(ErrClass::proc_aborted, "cluster aborting during collective");
   }
-  if (c.p.region) {
-    const ErrClass cls = c.p.region->poisoned();
+  if (c.region) {
+    const ErrClass cls = c.region->poisoned();
     if (cls != ErrClass::success) {
       throw Error(cls, "collective aborted by on-node peer");
     }
@@ -263,7 +264,7 @@ void publish(const Ctx& c, int channel, const void* src, std::size_t bytes,
   if (readers == 0) {
     return;
   }
-  Slot& sl = c.p.region->slot(c.p.my_slot, channel);
+  Slot& sl = c.region->slot(c.p.my_slot, channel);
   spin(c, [&] { return sl.readers_left.load(std::memory_order_acquire) == 0; });
   sl.src = static_cast<const std::byte*>(src);
   sl.bytes = bytes;
@@ -276,7 +277,7 @@ void publish(const Ctx& c, int channel, const void* src, std::size_t bytes,
 /// Wait for comm rank `commrank` (on my node) to publish ordinal `ord`.
 Slot& await_slot(const Ctx& c, int commrank, int channel, std::uint64_t ord) {
   Slot& sl =
-      c.p.region->slot(c.p.slot_of[static_cast<std::size_t>(commrank)], channel);
+      c.region->slot(c.p.slot_of[static_cast<std::size_t>(commrank)], channel);
   spin(c, [&] {
     return sl.seq.load(std::memory_order_acquire) >= c.base + ord;
   });
@@ -292,10 +293,10 @@ void done_read(Slot& sl) { sl.readers_left.fetch_sub(1, std::memory_order_releas
 /// Wait until every reader of my latest publication on `channel` finished —
 /// required before returning a user buffer or freeing scratch it exposed.
 void drain_my(const Ctx& c, int channel) {
-  if (!c.p.region) {
+  if (!c.region) {
     return;
   }
-  Slot& sl = c.p.region->slot(c.p.my_slot, channel);
+  Slot& sl = c.region->slot(c.p.my_slot, channel);
   spin(c, [&] { return sl.readers_left.load(std::memory_order_acquire) == 0; });
 }
 
@@ -307,14 +308,14 @@ void with_region_poison(const Ctx& c, Fn&& fn) {
   try {
     fn();
   } catch (const Error& e) {
-    if (c.p.region) {
-      c.p.region->poison(e.error_class());
+    if (c.region) {
+      c.region->poison(e.error_class());
       base::counters().add("coll.poisons");
     }
     throw;
   } catch (...) {
-    if (c.p.region) {
-      c.p.region->poison(ErrClass::intern);
+    if (c.region) {
+      c.region->poison(ErrClass::intern);
       base::counters().add("coll.poisons");
     }
     throw;
@@ -1148,7 +1149,7 @@ void Communicator::barrier() const {
     return;
   }
   pick("barrier", "hier");
-  const Ctx c = make_ctx(ps, s, *plan, next_seq(s));
+  const Ctx c = make_ctx(ps, s, plan, next_seq(s));
   try {
     with_region_poison(c, [&] { hier_barrier(c); });
   } catch (const Error& e) {
@@ -1171,7 +1172,7 @@ void Communicator::bcast(void* buf, int count, const Datatype& dt,
   OBS_SPAN_ARG("coll.bcast", "coll", bytes);
   const CollFlow flow("coll.bcast", bytes);
   auto plan = coll::plan_for(ps, s);
-  const Ctx c = make_ctx(ps, s, *plan, next_seq(s));
+  const Ctx c = make_ctx(ps, s, plan, next_seq(s));
   if (hier_selected(*plan)) {
     pick("bcast", "hier");
     with_region_poison(c, [&] { hier_bcast(c, buf, bytes, root); });
@@ -1195,7 +1196,7 @@ void Communicator::reduce(const void* sendbuf, void* recvbuf, int count,
   std::vector<std::byte> stage;
   const void* contrib = resolve_contrib(sendbuf, recvbuf, bytes, &stage);
   auto plan = coll::plan_for(ps, s);
-  const Ctx c = make_ctx(ps, s, *plan, next_seq(s));
+  const Ctx c = make_ctx(ps, s, plan, next_seq(s));
   if (hier_selected(*plan)) {
     pick("reduce", op.commutative() ? "hier" : "hier_ordered");
     with_region_poison(c, [&] {
@@ -1232,7 +1233,7 @@ void Communicator::allreduce(const void* sendbuf, void* recvbuf, int count,
   pick("allreduce", "hier");
   std::vector<std::byte> stage;
   const void* contrib = resolve_contrib(sendbuf, recvbuf, bytes, &stage);
-  const Ctx c = make_ctx(ps, s, *plan, next_seq(s));
+  const Ctx c = make_ctx(ps, s, plan, next_seq(s));
   with_region_poison(
       c, [&] { hier_allreduce(c, contrib, recvbuf, count, dt, op, bytes); });
 }
@@ -1257,7 +1258,7 @@ void Communicator::gather(const void* sendbuf, int sendcount,
   OBS_SPAN_ARG("coll.gather", "coll", sbytes);
   const CollFlow flow("coll.gather", sbytes);
   auto plan = coll::plan_for(ps, s);
-  const Ctx c = make_ctx(ps, s, *plan, next_seq(s));
+  const Ctx c = make_ctx(ps, s, plan, next_seq(s));
   if (hier_selected(*plan)) {
     pick("gather", "hier");
     with_region_poison(c, [&] {
@@ -1290,7 +1291,7 @@ void Communicator::scatter(const void* sendbuf, int sendcount,
   OBS_SPAN_ARG("coll.scatter", "coll", sslot);
   const CollFlow flow("coll.scatter", sslot);
   auto plan = coll::plan_for(ps, s);
-  const Ctx c = make_ctx(ps, s, *plan, next_seq(s));
+  const Ctx c = make_ctx(ps, s, plan, next_seq(s));
   if (hier_selected(*plan)) {
     pick("scatter", "hier");
     with_region_poison(c, [&] {
@@ -1334,7 +1335,7 @@ void Communicator::alltoall(const void* sendbuf, int sendcount,
   OBS_SPAN_ARG("coll.alltoall", "coll", sslot);
   const CollFlow flow("coll.alltoall", sslot);
   auto plan = coll::plan_for(ps, s);
-  const Ctx c = make_ctx(ps, s, *plan, next_seq(s));
+  const Ctx c = make_ctx(ps, s, plan, next_seq(s));
   if (hier_selected(*plan)) {
     pick("alltoall", "hier");
     with_region_poison(

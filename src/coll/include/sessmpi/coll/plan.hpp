@@ -1,10 +1,12 @@
 #pragma once
 
-// Per-communicator topology plan for the hierarchical collective engine.
-// Built lazily from the sim cluster's node/socket layout on the first
-// collective, cached on the CommState, and dropped on revoke — a
-// post-shrink communicator is a fresh CommState, so membership changes
-// always rebuild the plan.
+// Topology plan for the hierarchical collective engine. Built lazily from
+// the sim cluster's node/socket layout on the first collective, cached on
+// the CommState, and shared with every communicator dup'ed from it (same
+// group, same rank, same topology: the plan is immutable and identical).
+// Each communicator attaches its own on-node region beside the plan.
+// Revoke drops both; a post-shrink communicator is a fresh CommState, so
+// membership changes always build a new plan.
 
 #include <memory>
 #include <vector>
@@ -48,12 +50,25 @@ struct Plan {
   /// Global ranks of my node's members (liveness polling while spinning).
   std::vector<base::Rank> my_node_globals;
 
-  /// On-node shared region; null when this rank is alone on its node.
-  std::shared_ptr<NodeShared> region;
+  /// Physical node id hosting this rank (the region registry key).
+  int phys_node = 0;
 };
 
-/// The communicator's cached plan, built under ps.mu on first use.
-std::shared_ptr<const Plan> plan_for(detail::ProcState& ps,
-                                     const std::shared_ptr<detail::CommState>& s);
+/// What one collective runs on: the (possibly inherited) topology plan and
+/// this communicator's own on-node region. Dereferences to the plan.
+struct PlanView {
+  std::shared_ptr<const Plan> plan;
+  /// On-node shared region; null when this rank is alone on its node.
+  std::shared_ptr<NodeShared> region;
+
+  const Plan& operator*() const noexcept { return *plan; }
+  const Plan* operator->() const noexcept { return plan.get(); }
+};
+
+/// The communicator's plan and region. Under ps.mu, builds the plan unless
+/// the communicator has one (its own or inherited from its dup parent),
+/// then attaches the region on first use.
+PlanView plan_for(detail::ProcState& ps,
+                  const std::shared_ptr<detail::CommState>& s);
 
 }  // namespace sessmpi::coll

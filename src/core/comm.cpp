@@ -1,6 +1,7 @@
 #include "sessmpi/comm.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "detail/cid.hpp"
 #include "detail/state.hpp"
@@ -294,10 +295,14 @@ Communicator Communicator::dup() const {
     }
     if (derived) {
       // Local derivation; one verification allreduce keeps the operation
-      // collective and confirms every member derived the same exCID.
+      // collective and confirms every member derived the same exCID. It
+      // runs on the parent's own collective engine (an on-node fold plus
+      // one exchange between node leaders), as Open MPI runs its CID
+      // agreement through the parent's coll module.
       const auto lo = static_cast<std::int64_t>(derived->id().lo);
-      auto agreed = detail::subset_allreduce_max2(
-          ps, s, all_ranks(s->size()), {lo, -lo}, detail::internal_tag(seq, 0));
+      const std::array<std::int64_t, 2> mine{lo, -lo};
+      std::array<std::int64_t, 2> agreed{};
+      allreduce(mine.data(), agreed.data(), 2, Datatype::int64(), Op::max());
       if (agreed[0] != -agreed[1] || agreed[0] != lo) {
         s->errh.raise(ErrClass::intern, "exCID derivation divergence");
       }
@@ -319,6 +324,12 @@ Communicator Communicator::dup() const {
       child = ps.register_comm(s->grp, ExCidSpace::fresh(pgcid.value()),
                                /*uses_excid=*/true, std::nullopt);
     }
+  }
+  {
+    // Same group, same rank, same topology: the child takes over the
+    // parent's immutable collective plan and attaches only its own region.
+    std::lock_guard lock(ps.mu);
+    child->coll_plan = s->coll_plan;
   }
   child->errh = s->errh;
   child->comm_name = s->comm_name + "(dup)";

@@ -1,8 +1,11 @@
 #include <algorithm>
+#include <chrono>
 #include <limits>
+#include <thread>
 
 #include "sessmpi/base/clock.hpp"
 #include "sessmpi/base/stats.hpp"
+#include "sessmpi/base/yield.hpp"
 #include "sessmpi/obs/hist.hpp"
 #include "sessmpi/obs/postmortem.hpp"
 #include "sessmpi/obs/trace.hpp"
@@ -448,6 +451,7 @@ void ProcState::revoke_comm_locked(const std::shared_ptr<CommState>& comm,
   // collective plan + shared region so a survivor cannot rendezvous with a
   // dead member's slot. The post-shrink comm rebuilds lazily.
   comm->coll_plan.reset();
+  comm->coll_region.reset();
   base::counters().add("ft.comms_revoked");
   OBS_INSTANT_ARG("ft.revoked", "ft", flood ? 1 : 0);
   obs::trigger_postmortem("comm_revoked");
@@ -572,6 +576,30 @@ void ProcState::revoke_comm_locked(const std::shared_ptr<CommState>& comm,
 
 namespace {
 
+/// Take `drain_mu` without blocking, or for a blocking pass within 1 ms:
+/// fibers poll it with a cooperative yield, OS threads with a short sleep.
+bool lock_drain(std::mutex& m, bool block) {
+  if (m.try_lock()) {
+    return true;
+  }
+  if (!block) {
+    return false;
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+  do {
+    if (base::cooperative()) {
+      base::try_yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    if (m.try_lock()) {
+      return true;
+    }
+  } while (std::chrono::steady_clock::now() < deadline);
+  return false;
+}
+
 /// Pipelined wire model (DESIGN.md §12): the sender only charges occupancy
 /// (gap + serialization); the one-way latency elapses in flight. The receiver
 /// honors it here — a popped packet is not dispatched before its arrival
@@ -593,11 +621,9 @@ void ProcState::progress_pass(bool block) {
   // finds another one draining returns (a blocking pass after at most 1 ms)
   // so its caller re-checks its own completion rather than waiting out the
   // drainer's idle timeout.
-  std::unique_lock drain(drain_mu, std::defer_lock);
-  if (block ? drain.try_lock_for(std::chrono::milliseconds(1))
-            : drain.try_lock()) {
+  if (lock_drain(drain_mu, block)) {
+    std::unique_lock drain(drain_mu, std::adopt_lock);
     drain_inbox_locked(block);
-    drain.unlock();
   }
   std::lock_guard lock(mu);
   advance_nbc_locked();

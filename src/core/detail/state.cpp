@@ -215,6 +215,7 @@ void ProcState::unregister_comm(CommState& comm) {
   }
   comm.freed = true;
   comm.coll_plan.reset();
+  comm.coll_region.reset();
   comm.attrs.clear();
   cid_alloc.release(comm.cid);
   if (comm.cid < comm_by_cid.size()) {

@@ -271,11 +271,15 @@ struct CommState {
   std::uint64_t fast_headers_sent = 0;
 
   // --- collective engine (src/coll) ----------------------------------------
-  /// Cached topology plan + on-node shared region, both opaque here so core
-  /// has no compile-time dependency on coll. Built lazily on the first
-  /// collective, dropped on revoke (membership change invalidation) — a
-  /// post-shrink communicator is a new CommState and rebuilds from scratch.
+  /// Cached topology plan (coll::Plan) and on-node shared region
+  /// (coll::NodeShared), both opaque here so core has no compile-time
+  /// dependency on coll. The plan is built lazily on the first collective
+  /// or inherited from the dup parent (same group, same plan); the region
+  /// is always this communicator's own. Revoke drops both (membership
+  /// change invalidation) — a post-shrink communicator is a new CommState
+  /// and builds from scratch.
   std::shared_ptr<void> coll_plan;
+  std::shared_ptr<void> coll_region;
 
   [[nodiscard]] base::Rank global_of(int commrank) const {
     return grp.global_of(commrank);
@@ -369,8 +373,10 @@ struct ProcState {
   base::CostModel cost;
   std::recursive_mutex mu;
   /// Held by the one thread popping and dispatching inbox packets, so the
-  /// threads of a process (sim::ProcessAdopter) dispatch in pop order.
-  std::timed_mutex drain_mu;
+  /// threads of a process (sim::ProcessAdopter) dispatch in pop order. A
+  /// plain mutex polled with try_lock: TSan does not intercept the
+  /// clocklock call behind timed_mutex::try_lock_for.
+  std::mutex drain_mu;
 
   // Configuration.
   CidMethod method = CidMethod::excid;

@@ -172,6 +172,17 @@ class Tracer {
   static void set_flow_context(std::uint64_t ctx) noexcept;
   [[nodiscard]] static std::uint64_t flow_context() noexcept;
 
+  /// The calling thread's rank-scoped tracer state. Whatever carries a
+  /// rank across threads (a fiber's suspend/resume, sim::ProcessAdopter)
+  /// saves and restores it whole, so neither the track nor a flow context
+  /// ever leaks from one rank to another.
+  struct ThreadState {
+    std::int32_t track = -1;
+    std::uint64_t flow_ctx = 0;
+  };
+  [[nodiscard]] static ThreadState thread_state() noexcept;
+  static void set_thread_state(const ThreadState& st) noexcept;
+
   /// All surviving events across all rings, sorted by timestamp.
   /// Writers must be quiescent (see file comment).
   [[nodiscard]] std::vector<Event> collect() const;

@@ -9,8 +9,7 @@ namespace sessmpi::obs {
 
 namespace {
 
-thread_local std::int32_t tls_track = -1;
-thread_local std::uint64_t tls_flow_ctx = 0;
+thread_local Tracer::ThreadState tls_state;
 
 // Span-id allocator: process-wide so ids are unique across ranks in the
 // in-process sim (a receiver must never confuse two senders' contexts).
@@ -52,20 +51,26 @@ Tracer& Tracer::instance() {
 }
 
 void Tracer::set_thread_track(std::int32_t track) noexcept {
-  tls_track = track;
+  tls_state.track = track;
 }
 
-std::int32_t Tracer::thread_track() noexcept { return tls_track; }
+std::int32_t Tracer::thread_track() noexcept { return tls_state.track; }
 
 std::uint64_t Tracer::next_span_id() noexcept {
   return g_next_span_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Tracer::set_flow_context(std::uint64_t ctx) noexcept {
-  tls_flow_ctx = ctx;
+  tls_state.flow_ctx = ctx;
 }
 
-std::uint64_t Tracer::flow_context() noexcept { return tls_flow_ctx; }
+std::uint64_t Tracer::flow_context() noexcept { return tls_state.flow_ctx; }
+
+Tracer::ThreadState Tracer::thread_state() noexcept { return tls_state; }
+
+void Tracer::set_thread_state(const ThreadState& st) noexcept {
+  tls_state = st;
+}
 
 void Tracer::set_track_skew_ns(std::int32_t track, std::int64_t ns) noexcept {
   if (track >= 0 && track < kMaxSkewTracks) {
@@ -132,17 +137,17 @@ void Tracer::emit(const char* name, const char* cat, Phase ph,
 
 void Tracer::begin(const char* name, const char* cat, std::uint64_t arg) {
   if (!enabled()) return;
-  emit(name, cat, Phase::begin, tls_track, 0, arg);
+  emit(name, cat, Phase::begin, tls_state.track, 0, arg);
 }
 
 void Tracer::end(const char* name, const char* cat) {
   if (!enabled()) return;
-  emit(name, cat, Phase::end, tls_track, 0, 0);
+  emit(name, cat, Phase::end, tls_state.track, 0, 0);
 }
 
 void Tracer::instant(const char* name, const char* cat, std::uint64_t arg) {
   if (!enabled()) return;
-  emit(name, cat, Phase::instant, tls_track, 0, arg);
+  emit(name, cat, Phase::instant, tls_state.track, 0, arg);
 }
 
 void Tracer::instant_on(std::int32_t track, const char* name, const char* cat,
@@ -174,17 +179,17 @@ void Tracer::async_end(std::int32_t track, const char* name, const char* cat,
 void Tracer::flow_start(const char* name, const char* cat, std::uint64_t id,
                         std::uint64_t arg) {
   if (!enabled()) return;
-  emit(name, cat, Phase::flow_start, tls_track, id, arg);
+  emit(name, cat, Phase::flow_start, tls_state.track, id, arg);
 }
 
 void Tracer::flow_step(const char* name, const char* cat, std::uint64_t id) {
   if (!enabled()) return;
-  emit(name, cat, Phase::flow_step, tls_track, id, 0);
+  emit(name, cat, Phase::flow_step, tls_state.track, id, 0);
 }
 
 void Tracer::flow_end(const char* name, const char* cat, std::uint64_t id) {
   if (!enabled()) return;
-  emit(name, cat, Phase::flow_end, tls_track, id, 0);
+  emit(name, cat, Phase::flow_end, tls_state.track, id, 0);
 }
 
 std::vector<Event> Tracer::collect() const {

@@ -124,20 +124,20 @@ void Cluster::run_on(const std::vector<Rank>& ranks,
 
   if (scheduler_mode() == SchedulerMode::fibers) {
     std::vector<FiberTask> tasks(ranks.size());
+    // Rank TLS travels with the fiber: every resume installs this rank's
+    // block (Cluster::current(), merged-trace track, flow context); every
+    // suspend saves it back and installs the empty block, so scheduler
+    // code never impersonates a rank and the next fiber starts clean.
+    std::vector<RankTls> blocks(ranks.size());
     for (std::size_t i = 0; i < ranks.size(); ++i) {
       const Rank r = ranks[i];
-      Process* proc = &process(r);  // validate before scheduling
+      blocks[i] = RankTls::of(process(r));  // validate before scheduling
       tasks[i].body = body_of(i, r);
-      // Rank TLS travels with the fiber: every resume rebinds the worker
-      // thread to this rank (Cluster::current(), merged-trace track);
-      // every suspend unbinds so scheduler code never impersonates a rank.
-      tasks[i].on_resume = [proc, r] {
-        tls_current = proc;
-        obs::Tracer::set_thread_track(r);
-      };
-      tasks[i].on_suspend = [] {
-        obs::Tracer::set_thread_track(-1);
-        tls_current = nullptr;
+      RankTls* block = &blocks[i];
+      tasks[i].on_resume = [block] { block->install(); };
+      tasks[i].on_suspend = [block] {
+        *block = RankTls::capture();
+        RankTls{}.install();
       };
     }
     FiberPool::run(std::move(tasks));
@@ -148,13 +148,11 @@ void Cluster::run_on(const std::vector<Rank>& ranks,
       const Rank r = ranks[i];
       (void)process(r);  // validate before spawning
       threads.emplace_back([this, r, body = body_of(i, r)] {
-        tls_current = procs_[static_cast<std::size_t>(r)].get();
         // Rank threads own their merged-trace track: every probe this
         // thread fires lands on rank r's timeline.
-        obs::Tracer::set_thread_track(r);
+        RankTls::of(*procs_[static_cast<std::size_t>(r)]).install();
         body();
-        obs::Tracer::set_thread_track(-1);
-        tls_current = nullptr;
+        RankTls{}.install();
       });
     }
     for (auto& t : threads) {
@@ -178,15 +176,24 @@ Process& Cluster::current() {
 
 Process* Cluster::current_ptr() noexcept { return tls_current; }
 
-ProcessAdopter::ProcessAdopter(Process& proc) : previous_(tls_current) {
-  tls_current = &proc;
-  previous_track_ = obs::Tracer::thread_track();
-  obs::Tracer::set_thread_track(proc.rank());
+RankTls RankTls::of(Process& proc) noexcept {
+  return RankTls{&proc, {proc.rank(), 0}};
 }
 
-ProcessAdopter::~ProcessAdopter() {
-  obs::Tracer::set_thread_track(previous_track_);
-  tls_current = previous_;
+RankTls RankTls::capture() noexcept {
+  return RankTls{tls_current, obs::Tracer::thread_state()};
 }
+
+void RankTls::install() const noexcept {
+  tls_current = proc;
+  obs::Tracer::set_thread_state(trace);
+}
+
+ProcessAdopter::ProcessAdopter(Process& proc)
+    : previous_(RankTls::capture()) {
+  RankTls::of(proc).install();
+}
+
+ProcessAdopter::~ProcessAdopter() { previous_.install(); }
 
 }  // namespace sessmpi::sim

@@ -22,6 +22,7 @@
 #include "sessmpi/base/subsystem.hpp"
 #include "sessmpi/base/topology.hpp"
 #include "sessmpi/fabric/fabric.hpp"
+#include "sessmpi/obs/trace.hpp"
 #include "sessmpi/pmix/client.hpp"
 #include "sessmpi/prte/dvm.hpp"
 #include "sessmpi/sim/linkload.hpp"
@@ -163,6 +164,24 @@ class Cluster {
   std::atomic<bool> aborted_{false};
 };
 
+/// Every rank-scoped thread-local in one block: the Process binding plus
+/// the tracer's track and flow context. A rank's carrier installs the block
+/// whole — its OS thread for the run, its fiber on every resume (saving it
+/// back on suspend), a ProcessAdopter for its scope — so a rank never lends
+/// its state to another rank sharing the thread. A new rank-scoped
+/// thread-local belongs in this block, not in another hook.
+struct RankTls {
+  Process* proc = nullptr;
+  obs::Tracer::ThreadState trace;
+
+  /// Fresh state for `proc`: bound to it, on its track, no flow context.
+  static RankTls of(Process& proc) noexcept;
+  /// The calling thread's current block.
+  static RankTls capture() noexcept;
+  /// Make this block the calling thread's.
+  void install() const noexcept;
+};
+
 /// RAII adoption of a process identity by a helper thread: within the
 /// guard's scope, MPI calls on this thread act as `proc`. This is how an
 /// application thread (e.g. an OpenMP worker inside an MPI rank) issues MPI
@@ -176,8 +195,7 @@ class ProcessAdopter {
   ProcessAdopter& operator=(const ProcessAdopter&) = delete;
 
  private:
-  Process* previous_;
-  std::int32_t previous_track_ = -1;
+  RankTls previous_;
 };
 
 }  // namespace sessmpi::sim

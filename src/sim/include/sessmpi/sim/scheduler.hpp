@@ -13,8 +13,9 @@
 // parked rank costs one context switch instead of one blocked core.
 //
 // Fibers are PINNED to the worker that first runs them (no migration):
-// rank TLS (sim::Process binding, tracer track) is restored on every
-// resume via the task hooks, per-fiber state never crosses threads
+// rank TLS (the sim::RankTls block: Process binding, tracer track and flow
+// context) is saved on every suspend and restored on every resume via the
+// task hooks, per-fiber state never crosses threads
 // mid-flight, and the TSan/ASan fiber annotations stay simple.
 //
 // Yield-safety contract (see DESIGN.md §15 for the full inventory): code
@@ -47,9 +48,10 @@ struct FiberTask {
   /// the trampoline swallows strays as a last resort).
   std::function<void()> body;
   /// Called on the worker thread immediately before every resume of this
-  /// task (install rank TLS: process binding, tracer track).
+  /// task (install the rank's TLS block).
   std::function<void()> on_resume;
-  /// Called on the worker thread immediately after every suspend.
+  /// Called on the worker thread immediately after every suspend (save the
+  /// rank's TLS block, leave the worker's clean).
   std::function<void()> on_suspend;
 };
 

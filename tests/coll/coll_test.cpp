@@ -1,7 +1,8 @@
 // Tests for the hierarchical collective engine (src/coll): flat/hier
 // result equivalence, non-commutative determinism across algorithm
 // variants, MPI_IN_PLACE and zero-count edge cases, single-copy on-node
-// accounting, plan-cache reuse and revoke/shrink invalidation,
+// accounting, plan-cache reuse and revoke/shrink invalidation, plan
+// inheritance and the leaders-only verification of a derived dup,
 // concurrent collectives on disjoint communicators (the TSan witness for
 // the shared-region release protocol), and the nonblocking engine's
 // failure handling and Ibarrier traffic.
@@ -398,6 +399,108 @@ TEST(CollEngine, PlanCacheReuseAndShrinkInvalidation) {
 
     small.free();
     comm.free();
+    s.finalize();
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Derived dup (paper §III-B3): the exCID derivation is checked by the
+// parent's own hierarchical allreduce, and the child takes over the
+// parent's plan instead of building one.
+
+/// Sum of this rank's per-peer wire sequence numbers on `comm`.
+std::uint64_t sends_on(const Communicator& comm) {
+  const auto& cs = detail_unwrap(comm);
+  std::lock_guard lock(cs->ps->mu);
+  std::uint64_t n = 0;
+  for (const auto& [rank, peer] : cs->peers) {
+    n += peer.send_seq;
+  }
+  return n;
+}
+
+TEST(CollEngine, DerivedDupSendsOnlyTheLeadersExchange) {
+  std::mutex mu;
+  std::uint64_t total = 0;
+  mpi_run(2, 4, [&](sim::Process&) {
+    Session s = Session::init();
+    Communicator comm = Communicator::create_from_group(
+        s.group_from_pset("mpi://world"), "dup-wire");
+    comm.barrier();
+    const std::uint64_t before = sends_on(comm);
+    Communicator child = comm.dup();
+    const std::uint64_t mine = sends_on(comm) - before;
+    {
+      std::lock_guard lock(mu);
+      total += mine;
+    }
+    child.free();
+    comm.free();
+    s.finalize();
+  });
+  // One message each way between the two node leaders; the on-node fold
+  // moves through shared memory. A binomial allreduce over all 8 ranks
+  // would send 2 * (8 - 1) = 14.
+  EXPECT_EQ(total, 2u);
+}
+
+TEST(CollEngine, DupInheritsTheParentPlan) {
+  const std::uint64_t before = base::counters().value("coll.plan_builds");
+  mpi_run(2, 4, [](sim::Process&) {
+    Session s = Session::init();
+    Communicator comm = Communicator::create_from_group(
+        s.group_from_pset("mpi://world"), "dup-plan");
+    std::int64_t one = 1;
+    std::int64_t sum = 0;
+    comm.allreduce(&one, &sum, 1, Datatype::int64(), Op::sum());
+    EXPECT_EQ(sum, 8);
+    for (int k = 0; k < 4; ++k) {
+      Communicator d = comm.dup();
+      EXPECT_EQ(detail_unwrap(d)->coll_plan, detail_unwrap(comm)->coll_plan);
+      sum = 0;
+      d.allreduce(&one, &sum, 1, Datatype::int64(), Op::sum());
+      EXPECT_EQ(sum, 8);
+      d.free();
+    }
+    comm.free();
+    s.finalize();
+  });
+  // One build per rank, for the parent; the dups built none.
+  EXPECT_EQ(base::counters().value("coll.plan_builds") - before, 8u);
+}
+
+TEST(CollEngine, DupChildOutlivesItsParent) {
+  mpi_run(2, 4, [](sim::Process&) {
+    Session s = Session::init();
+    Communicator parent = Communicator::create_from_group(
+        s.group_from_pset("mpi://world"), "dup-outlive");
+    parent.barrier();
+    Communicator child = parent.dup();
+    const auto& pstate = detail_unwrap(parent);
+    const auto& cs = detail_unwrap(child);
+    const std::shared_ptr<void> plan = pstate->coll_plan;
+    ASSERT_NE(plan, nullptr);
+    EXPECT_EQ(cs->coll_plan, plan) << "child must take over the parent plan";
+    child.barrier();
+    // Same plan, own region: the child's shm slots are keyed by its exCID.
+    ASSERT_NE(cs->coll_region, nullptr);
+    EXPECT_NE(cs->coll_region, pstate->coll_region);
+    parent.free();
+
+    const int n = child.size();
+    const int me = child.rank();
+    for (int iter = 0; iter < 5; ++iter) {
+      std::int64_t mine = me + iter;
+      std::int64_t sum = 0;
+      child.allreduce(&mine, &sum, 1, Datatype::int64(), Op::sum());
+      EXPECT_EQ(sum, n * (n - 1) / 2 + n * iter);
+      std::vector<std::int64_t> buf(512, me == iter ? iter : -1);
+      child.bcast(buf.data(), 512, Datatype::int64(), iter);
+      EXPECT_EQ(buf[511], iter);
+      child.barrier();
+    }
+    EXPECT_EQ(cs->coll_plan, plan);
+    child.free();
     s.finalize();
   });
 }

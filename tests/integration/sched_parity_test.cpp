@@ -19,17 +19,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../core/harness.hpp"
 #include "sessmpi/base/stats.hpp"
 #include "sessmpi/ckpt/ckpt.hpp"
 #include "sessmpi/ft/ft.hpp"
+#include "sessmpi/obs/trace.hpp"
 #include "sessmpi/obs/tvar.hpp"
 #include "sessmpi/sim/chaos.hpp"
 #include "sessmpi/sim/scheduler.hpp"
@@ -389,6 +392,62 @@ TEST(SchedParity, FiberSoakDeterministicAcrossFiveChaosSeeds) {
     EXPECT_FALSE(first.empty());
   }
   ASSERT_TRUE(obs::cvar_write("sim.scheduler", "threads"));
+}
+
+// --- Fiber-carried rank TLS ------------------------------------------------
+
+// A rank that yields inside a collective's flow scope must not lend its
+// flow id to the next fiber on the same worker. Traced hierarchical
+// allreduces on 2 nodes: only the two node leaders send wire messages, so
+// every message a leader receives must carry the trace context of the
+// other leader's own collective — never one opened by a non-leader rank.
+// ppn >= hardware threads guarantees several ranks share a fiber worker.
+TEST(FiberTls, FlowContextStaysWithItsRank) {
+  const int ppn = std::max(4, static_cast<int>(std::thread::hardware_concurrency()));
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.set_enabled(false);
+  tracer.clear();
+  sim::register_scheduler_cvar();
+  ASSERT_TRUE(obs::cvar_write("sim.scheduler", "fibers"));
+  tracer.set_enabled(true);
+  testing::world_run(2, ppn, [](sim::Process&) {
+    Communicator w = comm_world();
+    for (int i = 0; i < 10; ++i) {
+      std::int64_t one = 1;
+      std::int64_t sum = 0;
+      w.allreduce(&one, &sum, 1, Datatype::int64(), Op::sum());
+      EXPECT_EQ(sum, w.size());
+    }
+  });
+  tracer.set_enabled(false);
+  ASSERT_TRUE(obs::cvar_write("sim.scheduler", "threads"));
+
+  const std::vector<obs::Event> events = tracer.collect();
+  tracer.clear();
+  std::map<std::uint64_t, std::int32_t> coll_owner;  // flow id -> rank
+  for (const obs::Event& ev : events) {
+    if (ev.phase == obs::Phase::flow_start &&
+        std::string(ev.name) == "coll.allreduce") {
+      coll_owner[ev.id] = ev.track;
+    }
+  }
+  ASSERT_EQ(coll_owner.size(), static_cast<std::size_t>(2 * ppn * 10));
+  int leader_msgs = 0;
+  for (const obs::Event& ev : events) {
+    if (ev.phase != obs::Phase::flow_end || std::string(ev.name) != "pml.msg") {
+      continue;
+    }
+    const auto it = coll_owner.find(ev.id);
+    if (it == coll_owner.end()) {
+      continue;  // not a collective's message
+    }
+    ++leader_msgs;
+    const std::int32_t other_leader = ev.track == 0 ? ppn : 0;
+    EXPECT_EQ(it->second, other_leader)
+        << "rank " << ev.track << " received a message stamped with rank "
+        << it->second << "'s collective";
+  }
+  EXPECT_GE(leader_msgs, 2 * 10);
 }
 
 }  // namespace
