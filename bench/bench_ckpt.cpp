@@ -232,17 +232,17 @@ int main(int argc, char** argv) {
   constexpr std::size_t kRedBytes = std::size_t{1} << 16;
   const auto partner_row =
       measure_scheme(ckpt::Scheme::partner, 0, 0, kRedBytes);
-  const auto xor_row =
-      measure_scheme(ckpt::Scheme::xor_parity, 7, 1, kRedBytes);
+  const auto rs71_row =
+      measure_scheme(ckpt::Scheme::reed_solomon, 7, 1, kRedBytes);
   const auto rs_row =
       measure_scheme(ckpt::Scheme::reed_solomon, 8, 2, kRedBytes);
   print_header(
       "Redundancy bytes per save vs scheme (10 ranks, 64 KiB/rank)",
       "'redundancy' counts bytes of partner copies / parity chunks created "
       "per coordinated save, summed over ranks (counter "
-      "ckpt.redundancy_bytes). XOR(7,1) and RS(8,2) trade a bounded "
+      "ckpt.redundancy_bytes). RS(7,1) and RS(8,2) trade a bounded "
       "failure budget per redundancy set for an m/k-sized footprint; the "
-      "2-rank tail set of XOR(7,1) degrades to duplication.");
+      "2-rank tail set of RS(7,1) degrades to duplication.");
   {
     Table rt({"scheme", "redundancy (B/save)", "vs partner", "save (us)"});
     const auto ratio = [&](const SchemeRow& r) {
@@ -253,8 +253,9 @@ int main(int argc, char** argv) {
     };
     rt.add_row({"partner", std::to_string(partner_row.redundancy),
                 Table::fmt(1.0, 2), Table::fmt(partner_row.save_us, 1)});
-    rt.add_row({"xor(7,1)", std::to_string(xor_row.redundancy),
-                Table::fmt(ratio(xor_row), 2), Table::fmt(xor_row.save_us, 1)});
+    rt.add_row({"rs(7,1)", std::to_string(rs71_row.redundancy),
+                Table::fmt(ratio(rs71_row), 2),
+                Table::fmt(rs71_row.save_us, 1)});
     rt.add_row({"rs(8,2)", std::to_string(rs_row.redundancy),
                 Table::fmt(ratio(rs_row), 2), Table::fmt(rs_row.save_us, 1)});
     rt.print(std::cout);

@@ -249,11 +249,11 @@ int run_smoke() {
 /// seeded drop fraction, measuring the 16 KiB osu_mbw_mr message rate. The
 /// zero cost model plus a deliberately large RTO (40 ms base, TCP-like vs
 /// the 1 ms ack tick) make the cell a pure loss-recovery measurement: the
-/// fixed engine repairs every loss by RTO expiry, the adaptive engines by
+/// fixed engine repairs every loss by RTO expiry, the aimd engine by
 /// SACK-driven fast retransmit within a tick or two, and the rate gap
 /// between them is exactly the recovery-latency gap. Tail losses (the last
 /// packet of a window, or the reverse-direction window ack) generate no
-/// dup-acks and cost every engine one RTO, which is why the adaptive gain
+/// dup-acks and cost every engine one RTO, which is why the aimd gain
 /// saturates rather than growing without bound.
 double sweep_cell_msg_rate(double drop, fabric::CcEngine engine, int rails,
                            std::uint64_t* escalations) {
@@ -331,12 +331,12 @@ double rails_bw_cell(int rails) {
 
 /// `--loss-sweep`: the drop x engine x rails matrix plus the no-loss
 /// multi-rail bandwidth scaling, with the two §17 acceptance gates:
-/// adaptive recovery >= 3x the fixed engine's message rate at 5% drop, and
+/// aimd recovery >= 3x the fixed engine's message rate at 5% drop, and
 /// 4-rail striped bandwidth >= 2x single-rail for >= 256 KiB messages.
 int run_loss_sweep() {
   const std::vector<double> drops{0.0, 0.01, 0.02, 0.05, 0.10};
-  const std::vector<fabric::CcEngine> engines{
-      fabric::CcEngine::fixed, fabric::CcEngine::aimd, fabric::CcEngine::cubic};
+  const std::vector<fabric::CcEngine> engines{fabric::CcEngine::fixed,
+                                              fabric::CcEngine::aimd};
   const std::vector<int> rails_set{1, 2, 4};
 
   std::uint64_t escalations = 0;
@@ -364,13 +364,12 @@ int run_loss_sweep() {
     print_header("Loss sweep, rails=" + std::to_string(rails),
                  "16 KiB osu_mbw_mr message rate (msg/s) vs seeded drop "
                  "fraction; zero-cost wire, RTO 40-200 ms, 1 ms ack tick.");
-    base::Table t({"drop", "fixed", "aimd", "cubic", "aimd/fixed"});
+    base::Table t({"drop", "fixed", "aimd", "aimd/fixed"});
     for (double drop : drops) {
       const auto& row = rate[rails][drop];
       t.add_row({base::Table::fmt(drop * 100, 0) + "%",
                  base::Table::fmt(row.at(fabric::CcEngine::fixed), 0),
                  base::Table::fmt(row.at(fabric::CcEngine::aimd), 0),
-                 base::Table::fmt(row.at(fabric::CcEngine::cubic), 0),
                  base::Table::fmt(row.at(fabric::CcEngine::aimd) /
                                       row.at(fabric::CcEngine::fixed),
                                   2)});
@@ -395,24 +394,18 @@ int run_loss_sweep() {
   const double aimd_gain =
       rate[1][0.05][fabric::CcEngine::aimd] /
       rate[1][0.05][fabric::CcEngine::fixed];
-  const double cubic_gain =
-      rate[1][0.05][fabric::CcEngine::cubic] /
-      rate[1][0.05][fabric::CcEngine::fixed];
   const double rail_speedup = bw[4] / bw[1];
   std::cout << "\naimd/fixed at 5% drop: " << base::Table::fmt(aimd_gain, 2)
-            << " (gate >= 3)\ncubic/fixed at 5% drop: "
-            << base::Table::fmt(cubic_gain, 2)
             << " (gate >= 3)\nrails=4 bandwidth speedup: "
             << base::Table::fmt(rail_speedup, 2)
             << " (gate >= 2)\nrto escalations (lost messages): " << escalations
             << " (gate == 0)\n";
   print_record("bench_mbw_mr_loss",
                {{"loss5_aimd_over_fixed", {aimd_gain, Better::higher}},
-                {"loss5_cubic_over_fixed", {cubic_gain, Better::higher}},
                 {"rails4_bw_speedup", {rail_speedup, Better::higher}},
                 {"sweep_escalations", {static_cast<double>(escalations)}}});
-  const bool ok = aimd_gain >= 3.0 && cubic_gain >= 3.0 &&
-                  rail_speedup >= 2.0 && escalations == 0;
+  const bool ok =
+      aimd_gain >= 3.0 && rail_speedup >= 2.0 && escalations == 0;
   std::cout << (ok ? "LOSS_SWEEP PASS\n" : "LOSS_SWEEP FAIL\n");
   return ok ? 0 : 1;
 }

@@ -39,6 +39,7 @@ struct Deadline {
   /// Park the deadline in the far future: the owner intends to re-arm it
   /// once an in-progress operation (e.g. an on-the-wire transmit) finishes.
   void arm_never() noexcept { at_ns = INT64_MAX; }
+  [[nodiscard]] bool parked() const noexcept { return at_ns == INT64_MAX; }
   [[nodiscard]] bool expired(std::int64_t now) const noexcept {
     return now >= at_ns;
   }

@@ -1,7 +1,7 @@
 #pragma once
 
 // GF(2^8) arithmetic for the checkpoint layer's Reed-Solomon codec
-// (src/ckpt/codec_rs.cpp). The field is GF(2)[x]/(x^8+x^4+x^3+x^2+1)
+// (src/ckpt/codec.cpp). The field is GF(2)[x]/(x^8+x^4+x^3+x^2+1)
 // (polynomial 0x11d, the AES-unrelated "Rijndael's cousin" every RAID-6
 // implementation uses), represented as log/antilog tables over the
 // generator 0x02. The scalar operations are header-only and constexpr-built:
@@ -82,8 +82,8 @@ inline constexpr Tables kTables = build_tables();
   return inv(static_cast<std::uint8_t>((k + i) ^ j));
 }
 
-/// dst[0..len) ^= coef * src[0..len) — the inner loop of RS encode, RS
-/// reconstruct and the XOR codec (coef == 1). A nibble split-table kernel
+/// dst[0..len) ^= coef * src[0..len) — the inner loop of RS encode and RS
+/// reconstruct. A nibble split-table kernel
 /// (gf256.cpp): coef * s = lo[s & 15] ^ hi[s >> 4] with two 16-entry
 /// product tables built per call, applied 16 bytes per SSSE3 `pshufb` on
 /// x86-64 CPUs that report SSSE3, and by mul_add_portable elsewhere. Both

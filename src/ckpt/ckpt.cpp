@@ -138,9 +138,6 @@ Checkpointer::Checkpointer(std::string name, Config cfg)
       throw Error(ErrClass::arg,
                   "ckpt: erasure set needs 1 <= k, 0 <= m, k + m <= 31");
     }
-    if (cfg_.scheme == Scheme::xor_parity && cfg_.set_parity != 1) {
-      throw Error(ErrClass::arg, "ckpt: xor_parity requires set_parity == 1");
-    }
   }
   if (cfg_.spill_chunk_bytes == 0) {
     cfg_.spill_chunk_bytes = 1;
@@ -493,13 +490,7 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
 
   if (cfg_.spill_to_fs) {
     std::vector<std::byte> blob = encode_snapshot(committed.own);
-    prte::SimFs& fs = ps.proc.cluster().fs();
-    if (cfg_.async_spill) {
-      spill_async(fs, epoch, std::move(blob), my_global);
-    } else {
-      OBS_SPAN("ckpt.spill", "ckpt");
-      spill_sync(fs, epoch, blob, my_global);
-    }
+    spill_async(ps.proc.cluster().fs(), epoch, std::move(blob), my_global);
     base::counters().add("ckpt.spills");
   }
 
@@ -510,19 +501,7 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
   return epoch;
 }
 
-// --- filesystem spill: sync fallback + async drain pipeline ---------------
-
-void Checkpointer::spill_sync(prte::SimFs& fs, std::uint64_t epoch,
-                              const std::vector<std::byte>& blob,
-                              base::Rank my_global) {
-  const std::string path = fs_path(epoch, my_global);
-  fs.set_size(path, 0);
-  fs.write(path, 0, blob.data(), blob.size());
-  // Durability marker last, so readers never see a marked partial file.
-  const char okb = 1;
-  fs.set_size(path + ".ok", 0);
-  fs.write(path + ".ok", 0, &okb, 1);
-}
+// --- filesystem spill: async drain pipeline --------------------------------
 
 void Checkpointer::spill_async(prte::SimFs& fs, std::uint64_t epoch,
                                std::vector<std::byte> blob,

@@ -11,8 +11,8 @@
 //        partner       — exchange the serialized snapshot with a partner
 //                        rank: r sends to (r+offset) mod n and holds a
 //                        redundant copy for (r-offset) mod n (SCR PARTNER);
-//        xor_parity /  — SCR redundancy sets: ranks are grouped into sets
-//        reed_solomon    of (set_data + set_parity) members, each member's
+//        reed_solomon  — SCR redundancy sets: ranks are grouped into sets
+//                        of (set_data + set_parity) members, each member's
 //                        blob is split into k chunks and the set computes
 //                        rotated parity stripes (codec.hpp), so any <= m
 //                        simultaneous deaths per set restore bitwise from
@@ -24,8 +24,8 @@
 //      implies epoch N-1 is FS-durable (or known-failed) everywhere,
 //   4. publish the committed epoch through PMIx (`ckpt.<name>.epoch`) and
 //      (optionally) spill the snapshot to the shared SimFs — SCR's
-//      filesystem level, the copy of last resort. With async_spill the
-//      spill is *enqueued* on a background drainer that overlaps compute:
+//      filesystem level, the copy of last resort. The spill is
+//      *enqueued* on a background drainer that overlaps compute:
 //      chunked fault-injectable writes with exponential-backoff retries, a
 //      trailing ".ok" durability marker written only after the final byte,
 //      and a sticky first-failure cause. A rank that dies mid-drain leaves
@@ -93,12 +93,10 @@ struct Config {
   int set_data = 4;
   int set_parity = 2;
   /// Also write each rank's snapshot to the shared SimFs (slowest, most
-  /// durable level — survives every in-memory copy dying at once).
+  /// durable level — survives every in-memory copy dying at once). The
+  /// spill goes through the background drain pipeline: it overlaps
+  /// compute, and the next save's commit vote fences it.
   bool spill_to_fs = false;
-  /// Spill through the background drain pipeline (overlaps compute; the
-  /// next save's commit vote fences it). When false the spill is a
-  /// synchronous durable write inside save(), as a lab control.
-  bool async_spill = true;
   /// SimFs path prefix for spilled snapshots.
   std::string fs_prefix = "/ckpt/";
   /// Committed epochs retained in memory (older ones are pruned).
@@ -239,8 +237,6 @@ class Checkpointer {
 
   [[nodiscard]] std::string fs_path(std::uint64_t epoch,
                                     base::Rank owner) const;
-  void spill_sync(prte::SimFs& fs, std::uint64_t epoch,
-                  const std::vector<std::byte>& blob, base::Rank my_global);
   void spill_async(prte::SimFs& fs, std::uint64_t epoch,
                    std::vector<std::byte> blob, base::Rank my_global);
   void drain_loop();

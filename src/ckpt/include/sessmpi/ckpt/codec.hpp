@@ -1,6 +1,6 @@
 #pragma once
 
-// Redundancy-set erasure codecs for src/ckpt (SCR-style redundancy sets).
+// Redundancy-set erasure codec for src/ckpt (SCR-style redundancy sets).
 //
 // Ranks of the saving communicator are partitioned into consecutive sets
 // of g = k + m members. Within a set, each member's serialized snapshot
@@ -14,9 +14,9 @@
 // Member r therefore contributes its own chunk j to stripe (r - j) mod g
 // and stores m parity chunks of ~blob/k bytes each — redundancy cost m/k
 // of a full partner copy. Losing any <= m members loses at most m chunks
-// per stripe, which an MDS code recovers from the survivors; the XOR codec
-// is the m = 1 (RAID-5) instance, the Reed-Solomon codec the general one
-// (systematic Cauchy code over GF(2^8), see base/gf256.hpp).
+// per stripe, which an MDS code recovers from the survivors: a systematic
+// Cauchy Reed-Solomon code over GF(2^8) (see base/gf256.hpp), whose m = 1
+// instance is the RAID-5 shape.
 //
 // Tail sets smaller than k + m degrade gracefully: a set of g' members
 // uses m' = min(m, g' - 1) parities over k' = g' - m' data chunks (a
@@ -33,7 +33,6 @@ namespace sessmpi::ckpt {
 /// Redundancy scheme for the in-memory (level-2) checkpoint copies.
 enum class Scheme {
   partner,       ///< full copy on (r + offset) mod n — SCR PARTNER
-  xor_parity,    ///< rotated XOR sets (RAID-5): m = 1 per set
   reed_solomon,  ///< rotated Reed-Solomon sets: any <= m failures per set
 };
 
@@ -90,19 +89,18 @@ struct SetLayout {
 /// (k data + m parity). The tail set shrinks as documented above.
 [[nodiscard]] SetLayout set_layout(int n, int comm_rank, int k, int m);
 
-/// Stripe-level erasure codec: k data chunks, m parity chunks, all of one
-/// length. Stateless and thread-safe.
+/// Stripe-level Reed-Solomon codec: k data chunks, m parity chunks, all
+/// of one length. Stateless and thread-safe.
 class SetCodec {
  public:
   SetCodec(int k, int m) : k_(k), m_(m) {}
-  virtual ~SetCodec() = default;
 
   [[nodiscard]] int k() const noexcept { return k_; }
   [[nodiscard]] int m() const noexcept { return m_; }
 
   /// Parity chunk `pi` of one stripe from its k data chunks.
-  virtual void encode(int pi, const std::byte* const* data, std::size_t len,
-                      std::byte* out) const = 0;
+  void encode(int pi, const std::byte* const* data, std::size_t len,
+              std::byte* out) const;
 
   /// Reconstruct the missing data chunks of one stripe in place.
   /// `data[j]` are the k data chunk buffers; `data_ok[j]` marks which ones
@@ -110,18 +108,17 @@ class SetCodec {
   /// `parity[i]` is the i-th parity chunk or nullptr if lost. Returns
   /// false when more data chunks are missing than parity chunks survive
   /// (beyond the code's tolerance) — nothing is written in that case.
-  virtual bool reconstruct(std::byte* const* data, const bool* data_ok,
-                           const std::byte* const* parity,
-                           std::size_t len) const = 0;
+  bool reconstruct(std::byte* const* data, const bool* data_ok,
+                   const std::byte* const* parity, std::size_t len) const;
 
  private:
   int k_;
   int m_;
 };
 
-/// Codec for `scheme` (xor_parity forces m = 1; partner has no codec and
-/// returns nullptr). Throws Error(arg) on invalid (k, m): k < 1, m < 0,
-/// or k + m > 254 (the Cauchy evaluation-point budget in GF(2^8)).
+/// Codec for `scheme` (partner has no codec and returns nullptr). Throws
+/// Error(arg) on invalid (k, m): k < 1, m < 0, or k + m > 254 (the Cauchy
+/// evaluation-point budget in GF(2^8)).
 std::unique_ptr<SetCodec> make_codec(Scheme scheme, int k, int m);
 
 }  // namespace sessmpi::ckpt

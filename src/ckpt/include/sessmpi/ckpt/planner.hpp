@@ -1,14 +1,11 @@
 #pragma once
 
-// Checkpoint-interval planner (Young/Daly). The planner turns two measured
-// quantities — mean time between failures as observed by the workload
-// (e.g. under the sim's chaos schedule) and the EWMA cost of a coordinated
-// save — into the optimal checkpoint interval:
+// Checkpoint-interval planner (Young's model). The planner turns two
+// measured quantities — mean time between failures as observed by the
+// workload (e.g. under the sim's chaos schedule) and the EWMA cost of a
+// coordinated save — into the optimal checkpoint interval
 //
-//   Young:  tau = sqrt(2 * delta * M)
-//   Daly:   tau = sqrt(2 * delta * M) * (1 + (1/3) * sqrt(delta / (2M))
-//                                          + (1/9) * (delta / (2M))) - delta
-//           (delta < 2M; degenerates to tau = M beyond that)
+//   tau = sqrt(2 * delta * M)
 //
 // with delta = save cost and M = MTBF, both in nanoseconds.
 //
@@ -22,7 +19,6 @@
 //   cvars   ckpt.interval.mode      "fixed" | "planned"
 //           ckpt.interval.fixed_ns  fixed-mode interval (also the planned-
 //                                   mode fallback until enough failures)
-//           ckpt.planner.model      "young" | "daly"
 //
 // so a soak test can A/B fixed vs planned cadence by flipping cvars.
 
@@ -44,8 +40,8 @@ class IntervalPlanner {
 
   [[nodiscard]] std::int64_t save_cost_ns() const;
 
-  /// Young/Daly interval from the current estimates (model per the
-  /// `ckpt.planner.model` cvar); 0 while MTBF or save cost is unknown.
+  /// Young interval from the current estimates; 0 while MTBF or save cost
+  /// is unknown.
   [[nodiscard]] std::int64_t planned_interval_ns() const;
 
   /// The interval the `ckpt.interval.*` cvars currently ask for: the fixed
@@ -60,7 +56,6 @@ class IntervalPlanner {
 
   /// Pure planner math, exposed for unit tests.
   static std::int64_t young(std::int64_t save_cost_ns, std::int64_t mtbf_ns);
-  static std::int64_t daly(std::int64_t save_cost_ns, std::int64_t mtbf_ns);
 };
 
 /// The process-wide planner (created on first use, registered with the

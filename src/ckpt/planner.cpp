@@ -1,4 +1,4 @@
-// Young/Daly checkpoint-interval planner (see planner.hpp). All state
+// Young checkpoint-interval planner (see planner.hpp). All state
 // lives behind one mutex in an immortal singleton; the obs gauges read
 // through the same lock, so TSan sees a clean picture even while rank
 // threads feed failures concurrently.
@@ -25,7 +25,6 @@ struct PlannerState {
   std::int64_t save_cost_ns = 0;  // EWMA, alpha = 1/4
   // Cvar-backed knobs.
   std::string mode = "fixed";
-  std::string model = "young";
   std::int64_t fixed_ns = 0;
 };
 
@@ -47,7 +46,7 @@ void register_tvars(IntervalPlanner* p) {
   obs::register_cvar(
       "ckpt.interval.mode",
       "checkpoint cadence source: \"fixed\" (ckpt.interval.fixed_ns) or "
-      "\"planned\" (Young/Daly from measured MTBF + save cost)",
+      "\"planned\" (Young's model from measured MTBF + save cost)",
       [] {
         std::lock_guard lk(state().mu);
         return state().mode;
@@ -80,22 +79,6 @@ void register_tvars(IntervalPlanner* p) {
         } catch (...) {
           return false;
         }
-      });
-  obs::register_cvar(
-      "ckpt.planner.model",
-      "interval model: \"young\" (sqrt(2*delta*M)) or \"daly\" "
-      "(higher-order correction)",
-      [] {
-        std::lock_guard lk(state().mu);
-        return state().model;
-      },
-      [](const std::string& v) {
-        if (v != "young" && v != "daly") {
-          return false;
-        }
-        std::lock_guard lk(state().mu);
-        state().model = v;
-        return true;
       });
 }
 
@@ -148,32 +131,8 @@ std::int64_t IntervalPlanner::young(std::int64_t save_cost_ns,
       2.0 * static_cast<double>(save_cost_ns) * static_cast<double>(mtbf_ns)));
 }
 
-std::int64_t IntervalPlanner::daly(std::int64_t save_cost_ns,
-                                   std::int64_t mtbf_ns) {
-  if (save_cost_ns <= 0 || mtbf_ns <= 0) {
-    return 0;
-  }
-  const double d = static_cast<double>(save_cost_ns);
-  const double mtbf = static_cast<double>(mtbf_ns);
-  if (d >= 2.0 * mtbf) {
-    return mtbf_ns;  // checkpointing costs more than the work it protects
-  }
-  const double ratio = d / (2.0 * mtbf);
-  const double tau = std::sqrt(2.0 * d * mtbf) *
-                         (1.0 + std::sqrt(ratio) / 3.0 + ratio / 9.0) -
-                     d;
-  return tau > 0 ? static_cast<std::int64_t>(tau) : mtbf_ns;
-}
-
 std::int64_t IntervalPlanner::planned_interval_ns() const {
-  std::string model;
-  {
-    std::lock_guard lk(state().mu);
-    model = state().model;
-  }
-  const std::int64_t d = save_cost_ns();
-  const std::int64_t m = mtbf_ns();
-  return model == "daly" ? daly(d, m) : young(d, m);
+  return young(save_cost_ns(), mtbf_ns());
 }
 
 std::int64_t IntervalPlanner::effective_interval_ns() const {

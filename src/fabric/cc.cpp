@@ -16,7 +16,7 @@ namespace {
 // them mid-run affects the next cluster, not in-flight flows — same
 // contract as sim.scheduler.
 std::atomic<int>& engine_flag() {
-  static std::atomic<int> v{static_cast<int>(CcEngine::fixed)};
+  static std::atomic<int> v{static_cast<int>(CcConfig{}.engine)};
   return v;
 }
 std::atomic<int>& rails_flag() {
@@ -55,10 +55,9 @@ void register_fabric_cvars() {
   std::call_once(once, [] {
     obs::register_cvar(
         "fabric.cc",
-        "per-flow congestion control engine: \"fixed\" (unlimited window, "
-        "RTO-only recovery, default), \"aimd\" (slow start + NewReno fast "
-        "retransmit/recovery + additive increase), or \"cubic\" "
-        "(W_max-anchored cubic growth)",
+        "per-flow congestion control engine: \"aimd\" (slow start + "
+        "NewReno fast retransmit/recovery + additive increase, default) or "
+        "\"fixed\" (unlimited window, RTO-only recovery)",
         [] {
           return std::string(cc_engine_name(
               static_cast<CcEngine>(engine_flag().load(std::memory_order_acquire))));

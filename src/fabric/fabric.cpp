@@ -553,13 +553,13 @@ void Fabric::apply_ack(Rank src, Rank dst, std::uint8_t rail,
   const std::int64_t now = base::now_ns();
   const std::uint64_t highest_sent = f.next_seq - 1;
   if (newly_acked > 0) {
-    f.cc.on_acked(newly_acked, cum, now);
+    f.cc.on_acked(newly_acked, cum);
     f.last_progress_ns = now;
     f.tlp_fired = false;
   }
   if (ece && is_explicit) {
     const std::uint64_t before = f.cc.cwnd_packets();
-    f.cc.on_ecn_echo(cum, highest_sent, now);
+    f.cc.on_ecn_echo(cum, highest_sent);
     if (f.cc.cwnd_packets() < before) {
       static const auto ecn_dec_counter =
           base::counter("fabric.ecn_decreases");
@@ -580,7 +580,7 @@ void Fabric::apply_ack(Rank src, Rank dst, std::uint8_t rail,
     // Duplicate ack: the cumulative edge is stuck while the receiver holds
     // out-of-order data — evidence of a hole, i.e. loss. The third one
     // triggers fast retransmit + fast recovery (CcState decides).
-    mark_holes = f.cc.on_dup_ack(highest_sent, now);
+    mark_holes = f.cc.on_dup_ack(highest_sent);
   } else if (f.cc.phase() == CcPhase::recovery && newly_acked > 0 &&
              cum < f.cc.recover_seq()) {
     // NewReno partial ack: the edge moved but not past the loss episode —
@@ -662,13 +662,12 @@ void Fabric::deliver(Packet&& pkt) {
       f.ack_pending = true;
     }
   }
-  // Adaptive engines are ack-clocked: the sender cannot grow or refill its
-  // cwnd until acknowledgments arrive, so batching acks to the pump tick
-  // would quantize the whole flow to tick granularity. Echo an ack per
-  // segment (TCP-style), which also makes dup-acks — the fast-retransmit
-  // trigger — immediate instead of up-to-a-tick late. The fixed engine
-  // keeps the original batched pump ack: it is not ack-clocked, and the
-  // default wire behavior stays bit-identical.
+  // aimd is ack-clocked: the sender cannot grow or refill its cwnd until
+  // acknowledgments arrive, so batching acks to the pump tick would
+  // quantize the whole flow to tick granularity. Echo an ack per segment
+  // (TCP-style), which also makes dup-acks — the fast-retransmit trigger —
+  // immediate instead of up-to-a-tick late. The fixed engine keeps the
+  // batched pump ack: it is not ack-clocked.
   if (cc_.engine != CcEngine::fixed) {
     flush_ack(f);
   }
@@ -865,7 +864,7 @@ bool Fabric::pump_pass() {
       if (rto_fired && !f.cc.unlimited()) {
         // One window collapse per pass, however many entries expired —
         // they are all the same loss episode (CcState guards besides).
-        f.cc.on_rto(f.next_seq - 1, now);
+        f.cc.on_rto(f.next_seq - 1);
       }
       if (!f.cc.unlimited() && !f.window.empty() && !f.tlp_fired &&
           !rto_fired) {
@@ -877,12 +876,16 @@ bool Fabric::pump_pass() {
         // this repairs it directly, and otherwise the duplicate provokes
         // an immediate SACK ack that restarts dup-ack recovery. The
         // probe leaves RTO deadlines, retry budgets, and cwnd untouched —
-        // it is a probe, not a loss verdict.
+        // it is a probe, not a loss verdict. A tail still parked behind
+        // its first transmit has not left the wire yet, so its silence is
+        // the sender's, not the network's: probing it would only put a
+        // duplicate ahead of the original.
         const std::int64_t tlp_ns = std::max<std::int64_t>(
             2 * rel_.tick_ns, rel_.rto_base_ns / 8);
-        if (now - f.last_progress_ns >= tlp_ns) {
+        auto& last = *std::prev(f.window.end());
+        if (now - f.last_progress_ns >= tlp_ns &&
+            !last.second.deadline.parked()) {
           f.tlp_fired = true;
-          auto& last = *std::prev(f.window.end());
           to_retransmit.push_back(
               {last.second.pkt, last.first, last.second.rto_ns,
                /*fast=*/false, /*tlp=*/true});

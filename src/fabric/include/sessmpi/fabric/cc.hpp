@@ -4,24 +4,21 @@
 // (DESIGN.md §17). Every (src,dst,rail) flow owns a CcState; the engine is
 // selected by the `fabric.cc` cvar:
 //
-//   fixed  — PR 2's behavior, bit-for-bit: no window limit, no fast
-//            retransmit, no ECN reaction. Loss recovery is RTO-only. The
-//            default, so existing runs reproduce exactly.
-//   aimd   — TCP-NewReno-shaped: slow start from IW, ssthresh halving +
-//            fast retransmit on triple-dup ACK (SACK holes are plugged
-//            immediately), additive increase of ~1 packet per ACKed cwnd
-//            in avoidance, multiplicative decrease on an ECN echo.
-//   cubic  — same loss/ECN machinery, but avoidance growth follows the
-//            CUBIC curve W(t) = C*(t-K)^3 + W_max anchored at the window
-//            where the last loss happened (fast convergence back to W_max,
-//            then probing beyond it).
+//   aimd   — the default. TCP-NewReno-shaped: slow start from IW, ssthresh
+//            halving + fast retransmit on triple-dup ACK (SACK holes are
+//            plugged immediately), additive increase of ~1 packet per
+//            ACKed cwnd in avoidance, multiplicative decrease on an ECN
+//            echo. A lossy fabric recovers by fast retransmit, not RTO.
+//   fixed  — no window limit, no fast retransmit, no ECN reaction; loss
+//            recovery is RTO-only. Kept as the loss sweep's control, for
+//            measuring striping without windowing, and for the benchmark
+//            harness, which pins it.
 //
 // CcState is pure state-machine logic — no locks, no clocks, no wire — so
-// the unit tests drive transitions directly with synthetic acks and
-// timestamps. The Fabric serializes calls under the owning flow's mutex.
+// the unit tests drive transitions directly with synthetic acks. The
+// Fabric serializes calls under the owning flow's mutex.
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -29,14 +26,14 @@
 
 namespace sessmpi::fabric {
 
-enum class CcEngine : std::uint8_t { fixed, aimd, cubic };
+enum class CcEngine : std::uint8_t { fixed, aimd };
 
 /// Maximum rails per (src,dst) pair: the rail id travels in 2 spare bits of
 /// the modeled 12-byte flow header (DESIGN.md §17 wire format).
 inline constexpr int kMaxRails = 4;
 
 struct CcConfig {
-  CcEngine engine = CcEngine::fixed;
+  CcEngine engine = CcEngine::aimd;
   /// Slow-start initial window (packets), RFC 6928-style IW10.
   std::uint32_t initial_window = 10;
   /// Floor the window never decreases below (keeps a stalled flow probing).
@@ -73,8 +70,6 @@ inline const char* cc_engine_name(CcEngine e) noexcept {
       return "fixed";
     case CcEngine::aimd:
       return "aimd";
-    case CcEngine::cubic:
-      return "cubic";
   }
   return "?";
 }
@@ -86,14 +81,10 @@ inline std::optional<CcEngine> cc_engine_from_name(const std::string& v) {
   if (v == "aimd") {
     return CcEngine::aimd;
   }
-  if (v == "cubic") {
-    return CcEngine::cubic;
-  }
   return std::nullopt;
 }
 
-/// Congestion window state machine for one flow. All transitions take the
-/// caller's monotonic `now_ns`; CUBIC's growth curve is the only consumer.
+/// Congestion window state machine for one flow.
 class CcState {
  public:
   CcState() = default;
@@ -102,7 +93,7 @@ class CcState {
         cwnd_(cfg.initial_window),
         ssthresh_(cfg.max_cwnd) {}
 
-  /// `fixed` disables every limit and reaction (PR 2 bit-compatibility).
+  /// `fixed` disables every limit and reaction.
   [[nodiscard]] bool unlimited() const noexcept {
     return cfg_.engine == CcEngine::fixed;
   }
@@ -115,7 +106,6 @@ class CcState {
   [[nodiscard]] std::uint64_t ssthresh() const noexcept { return ssthresh_; }
   [[nodiscard]] CcPhase phase() const noexcept { return phase_; }
   [[nodiscard]] CcEngine engine() const noexcept { return cfg_.engine; }
-  [[nodiscard]] double w_max() const noexcept { return w_max_; }
 
   /// May the sender window another packet with `inflight` already unacked?
   [[nodiscard]] bool can_send(std::size_t inflight) const noexcept {
@@ -125,8 +115,7 @@ class CcState {
   /// `newly_acked` window entries retired (cumulative advance + SACK
   /// erasures); `cum` is the new cumulative ack. Growth happens here;
   /// recovery exits here once the loss episode's data is fully acked.
-  void on_acked(std::uint64_t newly_acked, std::uint64_t cum,
-                std::int64_t now_ns) {
+  void on_acked(std::uint64_t newly_acked, std::uint64_t cum) {
     if (unlimited() || newly_acked == 0) {
       return;
     }
@@ -143,20 +132,12 @@ class CcState {
       if (cwnd_ >= static_cast<double>(ssthresh_)) {
         cwnd_ = static_cast<double>(ssthresh_);
         phase_ = CcPhase::avoidance;
-        epoch_start_ns_ = now_ns;
-        if (w_max_ <= 0) {
-          w_max_ = cwnd_;
-        }
       }
       clamp();
       return;
     }
-    if (cfg_.engine == CcEngine::aimd) {
-      // Additive increase: +1 packet per ACKed window's worth of data.
-      cwnd_ += static_cast<double>(newly_acked) / std::max(cwnd_, 1.0);
-    } else {
-      cubic_update(now_ns);
-    }
+    // Additive increase: +1 packet per ACKed window's worth of data.
+    cwnd_ += static_cast<double>(newly_acked) / std::max(cwnd_, 1.0);
     clamp();
   }
 
@@ -165,8 +146,7 @@ class CcState {
   /// retransmit the unSACKed holes: on the dupack_threshold'th duplicate
   /// (entering fast recovery), and on every further duplicate while in
   /// recovery (SACK keeps exposing new holes).
-  [[nodiscard]] bool on_dup_ack(std::uint64_t highest_sent,
-                                std::int64_t now_ns) {
+  [[nodiscard]] bool on_dup_ack(std::uint64_t highest_sent) {
     if (unlimited()) {
       return false;
     }
@@ -176,7 +156,7 @@ class CcState {
     if (++dup_acks_ < cfg_.dupack_threshold) {
       return false;
     }
-    enter_recovery(highest_sent, now_ns);
+    enter_recovery(highest_sent);
     return true;
   }
 
@@ -184,36 +164,33 @@ class CcState {
   /// feedback for a full RTO, so collapse to min_cwnd and slow-start back.
   /// Guarded per loss episode — a burst of same-window expiries in one pump
   /// pass must not stack collapses.
-  void on_rto(std::uint64_t highest_sent, std::int64_t now_ns) {
+  void on_rto(std::uint64_t highest_sent) {
     if (unlimited()) {
       return;
     }
     if (highest_sent <= recover_seq_ && phase_ == CcPhase::slow_start) {
       return;  // same episode, already collapsed
     }
-    w_max_ = std::max(cwnd_, static_cast<double>(cfg_.min_cwnd));
     ssthresh_ = std::max<std::uint64_t>(
         static_cast<std::uint64_t>(cwnd_ / 2.0), cfg_.min_cwnd);
     cwnd_ = static_cast<double>(cfg_.min_cwnd);
     phase_ = CcPhase::slow_start;
     recover_seq_ = highest_sent;
     dup_acks_ = 0;
-    epoch_start_ns_ = now_ns;
   }
 
   /// Receiver echoed a CE mark (congestion experienced on a modeled link):
   /// multiplicative decrease without waiting for loss. At most once per
   /// in-flight window — echoes for data sent before the last decrease are
   /// ignored, mirroring TCP's CWR round.
-  void on_ecn_echo(std::uint64_t cum, std::uint64_t highest_sent,
-                   std::int64_t now_ns) {
+  void on_ecn_echo(std::uint64_t cum, std::uint64_t highest_sent) {
     if (unlimited() || phase_ == CcPhase::recovery) {
       return;
     }
     if (cum < ecn_guard_seq_) {
       return;  // this echo is for data sent before the last decrease
     }
-    multiplicative_decrease(now_ns);
+    multiplicative_decrease();
     ecn_guard_seq_ = highest_sent;
   }
 
@@ -224,52 +201,21 @@ class CcState {
   }
   [[nodiscard]] int dup_acks() const noexcept { return dup_acks_; }
 
-  /// The CUBIC window at `t` seconds past the last decrease, anchored at
-  /// `w_max`: W(t) = C*(t-K)^3 + W_max with K = cbrt(W_max*(1-beta)/C).
-  /// Exposed for the unit tests' W_max math checks.
-  [[nodiscard]] static double cubic_window(double t_s, double w_max) noexcept {
-    const double k = std::cbrt(w_max * (1.0 - kCubicBeta) / kCubicC);
-    const double d = t_s - k;
-    return kCubicC * d * d * d + w_max;
-  }
-
-  static constexpr double kCubicC = 0.4;
-  static constexpr double kCubicBeta = 0.7;
-  static constexpr double kAimdBeta = 0.5;
-
  private:
-  [[nodiscard]] double beta() const noexcept {
-    return cfg_.engine == CcEngine::cubic ? kCubicBeta : kAimdBeta;
-  }
+  static constexpr double kBeta = 0.5;  ///< multiplicative decrease factor
 
-  void enter_recovery(std::uint64_t highest_sent, std::int64_t now_ns) {
-    multiplicative_decrease(now_ns);
+  void enter_recovery(std::uint64_t highest_sent) {
+    multiplicative_decrease();
     phase_ = CcPhase::recovery;
     recover_seq_ = highest_sent;
     dup_acks_ = 0;
   }
 
-  void multiplicative_decrease(std::int64_t now_ns) {
-    w_max_ = std::max(cwnd_, static_cast<double>(cfg_.min_cwnd));
-    cwnd_ = std::max(cwnd_ * beta(), static_cast<double>(cfg_.min_cwnd));
+  void multiplicative_decrease() {
+    cwnd_ = std::max(cwnd_ * kBeta, static_cast<double>(cfg_.min_cwnd));
     ssthresh_ = std::max<std::uint64_t>(static_cast<std::uint64_t>(cwnd_),
                                         cfg_.min_cwnd);
-    epoch_start_ns_ = now_ns;
     phase_ = phase_ == CcPhase::slow_start ? CcPhase::avoidance : phase_;
-  }
-
-  void cubic_update(std::int64_t now_ns) {
-    if (epoch_start_ns_ == 0) {
-      epoch_start_ns_ = now_ns;
-      w_max_ = std::max(w_max_, cwnd_);
-    }
-    const double t_s =
-        static_cast<double>(now_ns - epoch_start_ns_) / 1e9;
-    const double target = cubic_window(t_s, w_max_);
-    // Never shrink on an ack: below W_max the curve is rising toward the
-    // anchor; a target under the current window only means we got here
-    // early (e.g. slow start overshoot), not that we should give back.
-    cwnd_ = std::max(cwnd_, target);
   }
 
   void clamp() noexcept {
@@ -284,8 +230,6 @@ class CcState {
   int dup_acks_ = 0;
   std::uint64_t recover_seq_ = 0;   ///< loss episode tail (NewReno "recover")
   std::uint64_t ecn_guard_seq_ = 0;  ///< one ECN decrease per window guard
-  double w_max_ = 0;                ///< CUBIC anchor: window at last decrease
-  std::int64_t epoch_start_ns_ = 0;  ///< CUBIC epoch (last decrease time)
 };
 
 /// Idempotent registration of the fabric cvars (fabric.cc, fabric.rails,

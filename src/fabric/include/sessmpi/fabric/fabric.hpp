@@ -238,8 +238,11 @@ class Fabric {
   /// the pump). One mutex guards both; it is never held across a wire
   /// delay, another flow's mutex, or an inbox wait (it IS held across the
   /// reassembly table's mutex — that lock order, flow then reassembly, is
-  /// the only nesting).
-  struct Flow {
+  /// the only nesting). Each flow starts on its own cache line: flows are
+  /// locked by different threads, and a neighbour's hot fields sharing a
+  /// line with this flow's mutex made the 2x4 checkpoint restore ~10%
+  /// slower when only the struct's size changed.
+  struct alignas(64) Flow {
     Flow(Rank s, Rank d, std::uint8_t r, const CcConfig& cfg)
         : src(s), dst(d), rail(r), cc(cfg) {}
     const Rank src;

@@ -1,7 +1,8 @@
 // Erasure-codec unit tests: redundancy-set layout partition properties,
-// XOR (RAID-5) and Reed-Solomon stripe round-trips under every loss
-// pattern the code tolerates, over-tolerance rejection, and parameter
-// validation. Pure arithmetic — no simulated cluster involved.
+// Reed-Solomon stripe round-trips (the single-parity RAID-5 shape
+// included) under every loss pattern the code tolerates, over-tolerance
+// rejection, and parameter validation. Pure arithmetic — no simulated
+// cluster involved.
 
 #include "sessmpi/ckpt/codec.hpp"
 
@@ -11,6 +12,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -130,143 +132,94 @@ TEST(Codec, ChunkRunsAreConsecutiveAndCoverEachChunkMTimes) {
   EXPECT_EQ(shapes, 496);
 }
 
-TEST(Codec, XorRoundTripsAnySingleDataLoss) {
-  constexpr int k = 4;
-  constexpr std::size_t len = 33;
-  const auto codec = make_codec(Scheme::xor_parity, k, 1);
-  ASSERT_NE(codec, nullptr);
-  EXPECT_EQ(codec->k(), k);
-  EXPECT_EQ(codec->m(), 1);
-
-  std::vector<std::vector<std::byte>> data;
-  std::vector<const std::byte*> dptr;
+/// Drops the stripe positions in `mask` (bits 0..k-1 = data chunks,
+/// k..k+m-1 = parity chunks; lost data is zeroed first), runs reconstruct,
+/// and returns its verdict with the resulting data chunks in `work`.
+bool reconstruct_after_loss(const SetCodec& codec, unsigned mask,
+                            const std::vector<std::vector<std::byte>>& data,
+                            const std::vector<std::vector<std::byte>>& parity,
+                            std::vector<std::vector<std::byte>>& work) {
+  const int k = codec.k();
+  const int m = codec.m();
+  work = data;
+  const auto ok = std::make_unique<bool[]>(static_cast<std::size_t>(k));
+  std::vector<std::byte*> wptr;
   for (int j = 0; j < k; ++j) {
-    data.push_back(chunk_bytes(j, len));
-    dptr.push_back(data.back().data());
-  }
-  std::vector<std::byte> parity(len);
-  codec->encode(0, dptr.data(), len, parity.data());
-
-  for (int lost = 0; lost < k; ++lost) {
-    auto work = data;
-    std::fill(work[static_cast<std::size_t>(lost)].begin(),
-              work[static_cast<std::size_t>(lost)].end(), std::byte{0});
-    std::vector<std::byte*> wptr;
-    bool ok[k];
-    for (int j = 0; j < k; ++j) {
-      wptr.push_back(work[static_cast<std::size_t>(j)].data());
-      ok[j] = j != lost;
+    auto& w = work[static_cast<std::size_t>(j)];
+    ok[static_cast<std::size_t>(j)] = (mask & (1u << j)) == 0;
+    if (!ok[static_cast<std::size_t>(j)]) {
+      std::fill(w.begin(), w.end(), std::byte{0});
     }
-    const std::byte* pptr[1] = {parity.data()};
-    ASSERT_TRUE(codec->reconstruct(wptr.data(), ok, pptr, len));
-    EXPECT_EQ(work[static_cast<std::size_t>(lost)],
-              data[static_cast<std::size_t>(lost)]);
+    wptr.push_back(w.data());
   }
-
-  // Losing only the parity chunk costs nothing: all data survived.
-  {
-    auto work = data;
-    std::vector<std::byte*> wptr;
-    bool ok[k];
-    for (int j = 0; j < k; ++j) {
-      wptr.push_back(work[static_cast<std::size_t>(j)].data());
-      ok[j] = true;
-    }
-    const std::byte* pptr[1] = {nullptr};
-    EXPECT_TRUE(codec->reconstruct(wptr.data(), ok, pptr, len));
+  std::vector<const std::byte*> pptr;
+  for (int i = 0; i < m; ++i) {
+    pptr.push_back((mask & (1u << (k + i))) != 0
+                       ? nullptr
+                       : parity[static_cast<std::size_t>(i)].data());
   }
-
-  // A data chunk and the parity lost together exceed m = 1: refused.
-  {
-    auto work = data;
-    std::vector<std::byte*> wptr;
-    bool ok[k];
-    for (int j = 0; j < k; ++j) {
-      wptr.push_back(work[static_cast<std::size_t>(j)].data());
-      ok[j] = j != 0;
-    }
-    const std::byte* pptr[1] = {nullptr};
-    EXPECT_FALSE(codec->reconstruct(wptr.data(), ok, pptr, len));
-  }
+  return codec.reconstruct(wptr.data(), ok.get(), pptr.data(),
+                           data.front().size());
 }
 
 TEST(Codec, ReedSolomonRoundTripsEveryLossPatternUpToM) {
-  constexpr int k = 4;
-  constexpr int m = 2;
-  constexpr std::size_t len = 29;
-  const auto codec = make_codec(Scheme::reed_solomon, k, m);
-  ASSERT_NE(codec, nullptr);
+  // RS(4, 2), and RS(4, 1): the single-parity (RAID-5) shape, which
+  // recovers any one lost data chunk and refuses a data chunk lost
+  // together with the parity.
+  struct Shape {
+    int k;
+    int m;
+    std::size_t len;
+    std::vector<unsigned> refused;  // loss masks beyond tolerance
+  };
+  const std::vector<Shape> shapes = {
+      {4, 2, 29, {0b000111u, 0b110011u, 0b010111u}},
+      {4, 1, 33, {0b00011u, 0b10001u, 0b01100u}},
+  };
+  for (const Shape& sh : shapes) {
+    const int k = sh.k;
+    const int m = sh.m;
+    const auto codec = make_codec(Scheme::reed_solomon, k, m);
+    ASSERT_NE(codec, nullptr);
+    EXPECT_EQ(codec->k(), k);
+    EXPECT_EQ(codec->m(), m);
 
-  std::vector<std::vector<std::byte>> data;
-  std::vector<const std::byte*> dptr;
-  for (int j = 0; j < k; ++j) {
-    data.push_back(chunk_bytes(100 + j, len));
-    dptr.push_back(data.back().data());
-  }
-  std::vector<std::vector<std::byte>> parity(m, std::vector<std::byte>(len));
-  for (int i = 0; i < m; ++i) {
-    codec->encode(i, dptr.data(), len, parity[static_cast<std::size_t>(i)].data());
-  }
-
-  // Every subset of <= m lost chunks across the k + m stripe positions
-  // (positions 0..k-1 = data, k..k+m-1 = parity) must round-trip bitwise.
-  for (unsigned mask = 0; mask < (1u << (k + m)); ++mask) {
-    if (std::popcount(mask) > m) {
-      continue;
-    }
-    auto work = data;
-    std::vector<std::byte*> wptr;
-    bool ok[k];
+    std::vector<std::vector<std::byte>> data;
+    std::vector<const std::byte*> dptr;
     for (int j = 0; j < k; ++j) {
-      ok[j] = (mask & (1u << j)) == 0;
-      if (!ok[j]) {
-        std::fill(work[static_cast<std::size_t>(j)].begin(),
-                  work[static_cast<std::size_t>(j)].end(), std::byte{0});
-      }
-      wptr.push_back(work[static_cast<std::size_t>(j)].data());
+      data.push_back(chunk_bytes(100 + j, sh.len));
+      dptr.push_back(data.back().data());
     }
-    const std::byte* pptr[m];
+    std::vector<std::vector<std::byte>> parity(
+        static_cast<std::size_t>(m), std::vector<std::byte>(sh.len));
     for (int i = 0; i < m; ++i) {
-      pptr[i] = (mask & (1u << (k + i))) != 0
-                    ? nullptr
-                    : parity[static_cast<std::size_t>(i)].data();
+      codec->encode(i, dptr.data(), sh.len,
+                    parity[static_cast<std::size_t>(i)].data());
     }
-    ASSERT_TRUE(codec->reconstruct(wptr.data(), ok, pptr, len))
-        << "mask=" << mask;
-    for (int j = 0; j < k; ++j) {
-      ASSERT_EQ(work[static_cast<std::size_t>(j)],
-                data[static_cast<std::size_t>(j)])
-          << "mask=" << mask << " chunk=" << j;
-    }
-  }
 
-  // Beyond tolerance: any pattern where more data chunks are missing than
-  // parity chunks survive is refused without touching the buffers.
-  for (const unsigned mask : {0b000111u, 0b110011u, 0b010111u}) {
-    ASSERT_GT(std::popcount(mask), m);
-    auto work = data;
-    std::vector<std::byte*> wptr;
-    bool ok[k];
-    for (int j = 0; j < k; ++j) {
-      ok[j] = (mask & (1u << j)) == 0;
-      if (!ok[j]) {
-        std::fill(work[static_cast<std::size_t>(j)].begin(),
-                  work[static_cast<std::size_t>(j)].end(), std::byte{0});
+    // Every subset of <= m lost chunks across the k + m stripe positions
+    // must round-trip bitwise.
+    std::vector<std::vector<std::byte>> work;
+    for (unsigned mask = 0; mask < (1u << (k + m)); ++mask) {
+      if (std::popcount(mask) > m) {
+        continue;
       }
-      wptr.push_back(work[static_cast<std::size_t>(j)].data());
+      ASSERT_TRUE(reconstruct_after_loss(*codec, mask, data, parity, work))
+          << "k=" << k << " m=" << m << " mask=" << mask;
+      ASSERT_EQ(work, data) << "k=" << k << " m=" << m << " mask=" << mask;
     }
-    const std::byte* pptr[m];
-    for (int i = 0; i < m; ++i) {
-      pptr[i] = (mask & (1u << (k + i))) != 0
-                    ? nullptr
-                    : parity[static_cast<std::size_t>(i)].data();
-    }
-    EXPECT_FALSE(codec->reconstruct(wptr.data(), ok, pptr, len))
-        << "mask=" << mask;
-    for (int j = 0; j < k; ++j) {
-      if (!ok[j]) {
-        EXPECT_EQ(work[static_cast<std::size_t>(j)],
-                  std::vector<std::byte>(len, std::byte{0}));
+
+    // Beyond tolerance: any pattern where more data chunks are missing
+    // than parity chunks survive is refused without touching the buffers.
+    for (const unsigned mask : sh.refused) {
+      ASSERT_GT(std::popcount(mask), m);
+      EXPECT_FALSE(reconstruct_after_loss(*codec, mask, data, parity, work))
+          << "k=" << k << " m=" << m << " mask=" << mask;
+      for (int j = 0; j < k; ++j) {
+        if ((mask & (1u << j)) != 0) {
+          EXPECT_EQ(work[static_cast<std::size_t>(j)],
+                    std::vector<std::byte>(sh.len, std::byte{0}));
+        }
       }
     }
   }
@@ -304,39 +257,9 @@ TEST(Codec, ReedSolomonParityMatchesPerByteReference) {
   }
 }
 
-TEST(Codec, ReedSolomonWithSingleParityMatchesXor) {
-  // RS with m = 1 uses Cauchy coefficients inv((1+0)^j) that are not all 1,
-  // but the recovery guarantee is the same as XOR's; both must round-trip
-  // the same stripe. This pins the two codecs to one contract.
-  constexpr int k = 3;
-  constexpr std::size_t len = 17;
-  const auto xorc = make_codec(Scheme::xor_parity, k, 1);
-  const auto rsc = make_codec(Scheme::reed_solomon, k, 1);
-  std::vector<std::vector<std::byte>> data;
-  std::vector<const std::byte*> dptr;
-  for (int j = 0; j < k; ++j) {
-    data.push_back(chunk_bytes(200 + j, len));
-    dptr.push_back(data.back().data());
-  }
-  for (const auto* codec : {xorc.get(), rsc.get()}) {
-    std::vector<std::byte> parity(len);
-    codec->encode(0, dptr.data(), len, parity.data());
-    auto work = data;
-    std::fill(work[1].begin(), work[1].end(), std::byte{0});
-    std::vector<std::byte*> wptr;
-    bool ok[k] = {true, false, true};
-    for (auto& w : work) {
-      wptr.push_back(w.data());
-    }
-    const std::byte* pptr[1] = {parity.data()};
-    ASSERT_TRUE(codec->reconstruct(wptr.data(), ok, pptr, len));
-    EXPECT_EQ(work[1], data[1]);
-  }
-}
-
 TEST(Codec, MakeCodecValidatesShapeAndScheme) {
   EXPECT_EQ(make_codec(Scheme::partner, 4, 2), nullptr);
-  EXPECT_NE(make_codec(Scheme::xor_parity, 1, 1), nullptr);
+  EXPECT_NE(make_codec(Scheme::reed_solomon, 1, 1), nullptr);
   EXPECT_NE(make_codec(Scheme::reed_solomon, 200, 54), nullptr);
   EXPECT_THROW(make_codec(Scheme::reed_solomon, 0, 2), base::Error);
   EXPECT_THROW(make_codec(Scheme::reed_solomon, 4, -1), base::Error);

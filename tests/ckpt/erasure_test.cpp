@@ -139,8 +139,8 @@ TEST(CkptErasure, RsRestoresTwoKillsInOneSetFromParityAlone) {
             parity_before + 2);
 }
 
-TEST(CkptErasure, XorRestoresOneKillPerSetAcrossSets) {
-  constexpr int kRanks = 8;  // two XOR(3, 1) sets: {0..3} and {4..7}
+TEST(CkptErasure, SingleParityRestoresOneKillPerSetAcrossSets) {
+  constexpr int kRanks = 8;  // two RS(3, 1) sets: {0..3} and {4..7}
   constexpr std::size_t kBytes = 64;
   std::atomic<int> saved{0};
   Adopted got;
@@ -148,10 +148,10 @@ TEST(CkptErasure, XorRestoresOneKillPerSetAcrossSets) {
     const int me = static_cast<int>(p.rank());
     std::vector<std::uint8_t> data = payload(me, 1, kBytes);
     ckpt::Config cfg;
-    cfg.scheme = ckpt::Scheme::xor_parity;
+    cfg.scheme = ckpt::Scheme::reed_solomon;
     cfg.set_data = 3;
     cfg.set_parity = 1;
-    ckpt::Checkpointer ck("xor2sets", cfg);
+    ckpt::Checkpointer ck("rs1x2sets", cfg);
     ck.register_dataset("data", data.data(), data.size());
     EXPECT_EQ(ck.save(comm_world()), 1u);
     // One death per set: each set rebuilds independently from its parity.

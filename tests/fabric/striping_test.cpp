@@ -145,8 +145,7 @@ TEST(Striping, RandomSegmentLossAndReorderRoundTripsBitwise) {
   // message exactly once, bitwise intact, whatever segments were lost or
   // overtaken. Loss is confined to the lossy rail's segments by the
   // per-rail windows — healthy rails never stall.
-  for (const CcEngine engine :
-       {CcEngine::fixed, CcEngine::aimd, CcEngine::cubic}) {
+  for (const CcEngine engine : {CcEngine::fixed, CcEngine::aimd}) {
     for (const double loss : {0.05, 0.2}) {
       auto f = make_striped_fabric(engine, 4, 2048);
       auto drops = std::make_shared<std::atomic<std::uint64_t>>(0);

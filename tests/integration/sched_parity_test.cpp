@@ -162,6 +162,9 @@ Digest shrink_scenario() {
         Communicator shrunk = c.shrink();
         c.free();
         c = shrunk;
+        // Survivors may see the death one iteration apart; agree on a
+        // common resume iteration so every barrier that follows matches.
+        iter = static_cast<int>(~c.agree(~static_cast<std::uint64_t>(iter)));
       }
     }
     std::int64_t me = g, sum = 0;

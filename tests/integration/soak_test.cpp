@@ -641,7 +641,6 @@ TEST(Soak, PlannerAbFixedVsPlannedCadence) {
   ckpt::planner().reset();
   ASSERT_TRUE(obs::cvar_write("ckpt.interval.mode", "fixed"));
   ASSERT_TRUE(obs::cvar_write("ckpt.interval.fixed_ns", "0"));
-  ASSERT_TRUE(obs::cvar_write("ckpt.planner.model", "young"));
 
   SoakParams prm;
   prm.nodes = 1;
