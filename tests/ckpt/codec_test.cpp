@@ -162,67 +162,64 @@ bool reconstruct_after_loss(const SetCodec& codec, unsigned mask,
                            data.front().size());
 }
 
-TEST(Codec, ReedSolomonRoundTripsEveryLossPatternUpToM) {
-  // RS(4, 2), and RS(4, 1): the single-parity (RAID-5) shape, which
-  // recovers any one lost data chunk and refuses a data chunk lost
-  // together with the parity.
-  struct Shape {
-    int k;
-    int m;
-    std::size_t len;
-    std::vector<unsigned> refused;  // loss masks beyond tolerance
-  };
-  const std::vector<Shape> shapes = {
-      {4, 2, 29, {0b000111u, 0b110011u, 0b010111u}},
-      {4, 1, 33, {0b00011u, 0b10001u, 0b01100u}},
-  };
-  for (const Shape& sh : shapes) {
-    const int k = sh.k;
-    const int m = sh.m;
-    const auto codec = make_codec(Scheme::reed_solomon, k, m);
-    ASSERT_NE(codec, nullptr);
-    EXPECT_EQ(codec->k(), k);
-    EXPECT_EQ(codec->m(), m);
+/// Encodes a seeded RS(k, m) stripe of `len`-byte chunks, checks that every
+/// subset of <= m lost chunks across the k + m stripe positions round-trips
+/// bitwise, and that each mask in `refused` (beyond tolerance) is refused
+/// with its lost data chunks left zeroed.
+void check_round_trips(int k, int m, std::size_t len,
+                       const std::vector<unsigned>& refused) {
+  const auto codec = make_codec(Scheme::reed_solomon, k, m);
+  ASSERT_NE(codec, nullptr);
+  EXPECT_EQ(codec->k(), k);
+  EXPECT_EQ(codec->m(), m);
 
-    std::vector<std::vector<std::byte>> data;
-    std::vector<const std::byte*> dptr;
+  std::vector<std::vector<std::byte>> data;
+  std::vector<const std::byte*> dptr;
+  for (int j = 0; j < k; ++j) {
+    data.push_back(chunk_bytes(100 + j, len));
+    dptr.push_back(data.back().data());
+  }
+  std::vector<std::vector<std::byte>> parity(static_cast<std::size_t>(m),
+                                             std::vector<std::byte>(len));
+  for (int i = 0; i < m; ++i) {
+    codec->encode(i, dptr.data(), len,
+                  parity[static_cast<std::size_t>(i)].data());
+  }
+
+  std::vector<std::vector<std::byte>> work;
+  for (unsigned mask = 0; mask < (1u << (k + m)); ++mask) {
+    if (std::popcount(mask) > m) {
+      continue;
+    }
+    ASSERT_TRUE(reconstruct_after_loss(*codec, mask, data, parity, work))
+        << "k=" << k << " m=" << m << " mask=" << mask;
+    ASSERT_EQ(work, data) << "k=" << k << " m=" << m << " mask=" << mask;
+  }
+
+  // Beyond tolerance: any pattern where more data chunks are missing than
+  // parity chunks survive is refused without touching the buffers.
+  for (const unsigned mask : refused) {
+    ASSERT_GT(std::popcount(mask), m);
+    EXPECT_FALSE(reconstruct_after_loss(*codec, mask, data, parity, work))
+        << "k=" << k << " m=" << m << " mask=" << mask;
     for (int j = 0; j < k; ++j) {
-      data.push_back(chunk_bytes(100 + j, sh.len));
-      dptr.push_back(data.back().data());
-    }
-    std::vector<std::vector<std::byte>> parity(
-        static_cast<std::size_t>(m), std::vector<std::byte>(sh.len));
-    for (int i = 0; i < m; ++i) {
-      codec->encode(i, dptr.data(), sh.len,
-                    parity[static_cast<std::size_t>(i)].data());
-    }
-
-    // Every subset of <= m lost chunks across the k + m stripe positions
-    // must round-trip bitwise.
-    std::vector<std::vector<std::byte>> work;
-    for (unsigned mask = 0; mask < (1u << (k + m)); ++mask) {
-      if (std::popcount(mask) > m) {
-        continue;
-      }
-      ASSERT_TRUE(reconstruct_after_loss(*codec, mask, data, parity, work))
-          << "k=" << k << " m=" << m << " mask=" << mask;
-      ASSERT_EQ(work, data) << "k=" << k << " m=" << m << " mask=" << mask;
-    }
-
-    // Beyond tolerance: any pattern where more data chunks are missing
-    // than parity chunks survive is refused without touching the buffers.
-    for (const unsigned mask : sh.refused) {
-      ASSERT_GT(std::popcount(mask), m);
-      EXPECT_FALSE(reconstruct_after_loss(*codec, mask, data, parity, work))
-          << "k=" << k << " m=" << m << " mask=" << mask;
-      for (int j = 0; j < k; ++j) {
-        if ((mask & (1u << j)) != 0) {
-          EXPECT_EQ(work[static_cast<std::size_t>(j)],
-                    std::vector<std::byte>(sh.len, std::byte{0}));
-        }
+      if ((mask & (1u << j)) != 0) {
+        EXPECT_EQ(work[static_cast<std::size_t>(j)],
+                  std::vector<std::byte>(len, std::byte{0}));
       }
     }
   }
+}
+
+TEST(Codec, ReedSolomonRoundTripsEveryLossPatternUpToM) {
+  check_round_trips(4, 2, 29, {0b000111u, 0b110011u, 0b010111u});
+}
+
+TEST(Codec, SingleParityRoundTripsAnySingleDataLoss) {
+  // RS(4, 1), the single-parity (RAID-5) shape: recovers any one lost data
+  // chunk or the lost parity, and refuses a data chunk lost together with
+  // the parity, or two lost data chunks.
+  check_round_trips(4, 1, 33, {0b00011u, 0b10001u, 0b01100u});
 }
 
 TEST(Codec, ReedSolomonParityMatchesPerByteReference) {
