@@ -6,12 +6,12 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
 
 #include "sessmpi/base/clock.hpp"
+#include "sessmpi/base/ring_queue.hpp"
 #include "sessmpi/base/yield.hpp"
 
 namespace sessmpi::base {
@@ -34,9 +34,7 @@ class Inbox {
     if (items_.empty()) {
       return std::nullopt;
     }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    return items_.take_front();
   }
 
   /// Blocking pop with timeout. Returns nullopt on timeout. Under a
@@ -62,9 +60,7 @@ class Inbox {
     if (!cv_.wait_for(lock, timeout, [&] { return !items_.empty(); })) {
       return std::nullopt;
     }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    return items_.take_front();
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -77,7 +73,7 @@ class Inbox {
  private:
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<T> items_;
+  RingQueue<T> items_;
 };
 
 }  // namespace sessmpi::base

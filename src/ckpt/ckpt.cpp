@@ -270,10 +270,10 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
     std::vector<detail::RequestPtr> cleanup;
     try {
       detail::RequestPtr size_recv =
-          ps.irecv_impl(s, &their_size, 1, datatype_of<std::uint64_t>(), from,
+          ps.irecv_impl(*s, &their_size, 1, datatype_of<std::uint64_t>(), from,
                         detail::ckpt_tag(seq, 0));
       cleanup.push_back(size_recv);
-      ps.isend_impl(s, &my_size, 1, datatype_of<std::uint64_t>(), to,
+      ps.isend_impl(*s, &my_size, 1, datatype_of<std::uint64_t>(), to,
                     detail::ckpt_tag(seq, 0), /*sync=*/false);
       ps.progress_until([&] { return size_recv->done(); });
       if (size_recv->status.error != ErrClass::success) {
@@ -281,10 +281,10 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
       } else {
         partner_blob.resize(their_size);
         detail::RequestPtr blob_recv = ps.irecv_impl(
-            s, partner_blob.data(), static_cast<int>(their_size),
+            *s, partner_blob.data(), static_cast<int>(their_size),
             datatype_of<std::byte>(), from, detail::ckpt_tag(seq, 1));
         cleanup.push_back(blob_recv);
-        ps.isend_impl(s, mine.data(), static_cast<int>(mine.size()),
+        ps.isend_impl(*s, mine.data(), static_cast<int>(mine.size()),
                       datatype_of<std::byte>(), to, detail::ckpt_tag(seq, 1),
                       /*sync=*/false);
         ps.progress_until([&] { return blob_recv->done(); });
@@ -325,14 +325,14 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
             continue;
           }
           size_recvs.push_back(ps.irecv_impl(
-              s, &staging.set.blob_sizes[static_cast<std::size_t>(x)], 1,
+              *s, &staging.set.blob_sizes[static_cast<std::size_t>(x)], 1,
               datatype_of<std::uint64_t>(), lay.first + x,
               detail::ckpt_tag(seq, 0)));
           cleanup.push_back(size_recvs.back());
         }
         for (int x = 0; x < g; ++x) {
           if (x != idx) {
-            ps.isend_impl(s, &my_size, 1, datatype_of<std::uint64_t>(),
+            ps.isend_impl(*s, &my_size, 1, datatype_of<std::uint64_t>(),
                           lay.first + x, detail::ckpt_tag(seq, 0),
                           /*sync=*/false);
           }
@@ -373,7 +373,7 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
               continue;
             }
             rr.buf.resize(static_cast<std::size_t>(rr.run.size()) * clen);
-            rr.req = ps.irecv_impl(s, rr.buf.data(),
+            rr.req = ps.irecv_impl(*s, rr.buf.data(),
                                    static_cast<int>(rr.buf.size()),
                                    datatype_of<std::byte>(), lay.first + x,
                                    detail::ckpt_tag(seq, 2));
@@ -388,7 +388,7 @@ std::uint64_t Checkpointer::save(const Communicator& comm) {
                 static_cast<std::size_t>(run.begin) * clen;
             const std::size_t bytes =
                 static_cast<std::size_t>(run.size()) * clen;
-            ps.isend_impl(s, mine.data() + off, static_cast<int>(bytes),
+            ps.isend_impl(*s, mine.data() + off, static_cast<int>(bytes),
                           datatype_of<std::byte>(), lay.first + h,
                           detail::ckpt_tag(seq, 2), /*sync=*/false);
           }
@@ -948,7 +948,7 @@ RestoreResult Checkpointer::restore(const Communicator& comm) {
               xr->from_pos = (x - st + g) % g;
               xr->buf.resize(clen);
               xr->req = ps.irecv_impl(
-                  s, xr->buf.data(), static_cast<int>(clen),
+                  *s, xr->buf.data(), static_cast<int>(clen),
                   datatype_of<std::byte>(), new_rank_of(x),
                   detail::ckpt_tag(rseq, 2 + st * g + xr->from_pos));
               cleanup.push_back(xr->req);
@@ -962,7 +962,7 @@ RestoreResult Checkpointer::restore(const Communicator& comm) {
           }
           for (int st : stset) {
             const int pos = (my_idx - st + g) % g;
-            ps.isend_impl(s, my_chunk_for(st), static_cast<int>(clen),
+            ps.isend_impl(*s, my_chunk_for(st), static_cast<int>(clen),
                           datatype_of<std::byte>(), new_rank_of(a),
                           detail::ckpt_tag(rseq, 2 + st * g + pos),
                           /*sync=*/false);

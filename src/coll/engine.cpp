@@ -371,11 +371,11 @@ void hier_bcast(const Ctx& c, void* buf, std::size_t bytes, int root) {
       const std::size_t sb = std::min(segsz, bytes - off);
       const int tag = detail::internal_tag(c.seq, si);
       if (t.parent >= 0) {
-        c.ps.blocking_recv(c.s, out + off, static_cast<int>(sb),
+        c.ps.blocking_recv(*c.s, out + off, static_cast<int>(sb),
                            Datatype::byte(), t.parent, tag);
       }
       for (int cr : t.children) {
-        c.ps.blocking_send(c.s, out + off, static_cast<int>(sb),
+        c.ps.blocking_send(*c.s, out + off, static_cast<int>(sb),
                            Datatype::byte(), cr, tag, false);
         note_wire(c.ps, *c.s, cr, sb);
       }
@@ -430,11 +430,11 @@ void hier_reduce_commutative(const Ctx& c, const void* contrib, void* recvbuf,
       [&](int v) { return head_of(p, (v + rootnode) % nh, root); });
   std::vector<std::byte> tmp(t.children.empty() ? 0 : bytes);
   for (int child : t.children) {
-    c.ps.blocking_recv(c.s, tmp.data(), count, dt, child, tag);
+    c.ps.blocking_recv(*c.s, tmp.data(), count, dt, child, tag);
     op.apply(tmp.data(), acc.data(), count, dt);
   }
   if (t.parent >= 0) {
-    c.ps.blocking_send(c.s, acc.data(), count, dt, t.parent, tag, false);
+    c.ps.blocking_send(*c.s, acc.data(), count, dt, t.parent, tag, false);
     note_wire(c.ps, *c.s, t.parent, bytes);
   } else {
     safe_copy(recvbuf, acc.data(), bytes);
@@ -464,7 +464,7 @@ void hier_reduce_ordered(const Ctx& c, const void* contrib, void* recvbuf,
         sl = &await_slot(c, r, 0, 0);
         cr = sl->src;
       } else {
-        c.ps.blocking_recv(c.s, tmp.data(), count, dt, r, tag);
+        c.ps.blocking_recv(*c.s, tmp.data(), count, dt, r, tag);
         cr = tmp.data();
       }
       if (first) {
@@ -481,7 +481,7 @@ void hier_reduce_ordered(const Ctx& c, const void* contrib, void* recvbuf,
     publish(c, 0, contrib, bytes, 1, 0);
     drain_my(c, 0);
   } else {
-    c.ps.blocking_send(c.s, contrib, count, dt, root, tag, false);
+    c.ps.blocking_send(*c.s, contrib, count, dt, root, tag, false);
     note_wire(c.ps, *c.s, root, bytes);
   }
 }
@@ -509,21 +509,21 @@ void rd_exchange(const Ctx& c, std::byte* acc, int count, const Datatype& dt,
   if (h >= pof2) {
     // Fold my contribution into a partner, then receive the finished value.
     const int partner = p.leaders[static_cast<std::size_t>(h - pof2)];
-    c.ps.blocking_send(c.s, acc, count, dt, partner, tagr(0), false);
+    c.ps.blocking_send(*c.s, acc, count, dt, partner, tagr(0), false);
     note_wire(c.ps, *c.s, partner, bytes);
-    c.ps.blocking_recv(c.s, acc, count, dt, partner, tagr(1 + log2p));
+    c.ps.blocking_recv(*c.s, acc, count, dt, partner, tagr(1 + log2p));
     return;
   }
   if (h < rem) {
-    c.ps.blocking_recv(c.s, tmp.data(), count, dt,
+    c.ps.blocking_recv(*c.s, tmp.data(), count, dt,
                        p.leaders[static_cast<std::size_t>(h + pof2)], tagr(0));
     op.apply(tmp.data(), acc, count, dt);
   }
   int round = 1;
   for (int mask = 1; mask < pof2; mask <<= 1, ++round) {
     const int partner = p.leaders[static_cast<std::size_t>(h ^ mask)];
-    auto rreq = c.ps.irecv_impl(c.s, tmp.data(), count, dt, partner, tagr(round));
-    auto sreq = c.ps.isend_impl(c.s, acc, count, dt, partner, tagr(round), false);
+    auto rreq = c.ps.irecv_impl(*c.s, tmp.data(), count, dt, partner, tagr(round));
+    auto sreq = c.ps.isend_impl(*c.s, acc, count, dt, partner, tagr(round), false);
     note_wire(c.ps, *c.s, partner, bytes);
     c.ps.progress_until([&] { return rreq->done() && sreq->done(); });
     check_req(c, rreq, "allreduce leader exchange failed");
@@ -532,7 +532,7 @@ void rd_exchange(const Ctx& c, std::byte* acc, int count, const Datatype& dt,
   }
   if (h < rem) {
     const int partner = p.leaders[static_cast<std::size_t>(h + pof2)];
-    c.ps.blocking_send(c.s, acc, count, dt, partner, tagr(round), false);
+    c.ps.blocking_send(*c.s, acc, count, dt, partner, tagr(round), false);
     note_wire(c.ps, *c.s, partner, bytes);
   }
 }
@@ -562,10 +562,10 @@ void ring_exchange(const Ctx& c, std::byte* acc, int count, const Datatype& dt,
     const int rk = (h - t - 1 + nh) % nh;
     RequestPtr rreq, sreq;
     if (elems(rk) > 0) {
-      rreq = c.ps.irecv_impl(c.s, rtmp.data(), elems(rk), dt, left, tag);
+      rreq = c.ps.irecv_impl(*c.s, rtmp.data(), elems(rk), dt, left, tag);
     }
     if (elems(sk) > 0) {
-      sreq = c.ps.isend_impl(c.s, acc + off(sk), elems(sk), dt, right, tag,
+      sreq = c.ps.isend_impl(*c.s, acc + off(sk), elems(sk), dt, right, tag,
                              false);
       note_wire(c.ps, *c.s, right, static_cast<std::size_t>(elems(sk)) * ext);
     }
@@ -585,10 +585,10 @@ void ring_exchange(const Ctx& c, std::byte* acc, int count, const Datatype& dt,
     const int rk = (h - t + nh) % nh;
     RequestPtr rreq, sreq;
     if (elems(rk) > 0) {
-      rreq = c.ps.irecv_impl(c.s, acc + off(rk), elems(rk), dt, left, tag);
+      rreq = c.ps.irecv_impl(*c.s, acc + off(rk), elems(rk), dt, left, tag);
     }
     if (elems(sk) > 0) {
-      sreq = c.ps.isend_impl(c.s, acc + off(sk), elems(sk), dt, right, tag,
+      sreq = c.ps.isend_impl(*c.s, acc + off(sk), elems(sk), dt, right, tag,
                              false);
       note_wire(c.ps, *c.s, right, static_cast<std::size_t>(elems(sk)) * ext);
     }
@@ -699,7 +699,7 @@ void hier_gather(const Ctx& c, const void* contrib, std::size_t sbytes,
       const auto& mem = p.node_members[static_cast<std::size_t>(ni)];
       scratch.resize(mem.size() * rslot);
       const Status st = c.ps.blocking_recv(
-          c.s, scratch.data(), static_cast<int>(mem.size() * rslot),
+          *c.s, scratch.data(), static_cast<int>(mem.size() * rslot),
           Datatype::byte(), head_of(p, ni, root), tag);
       const std::size_t stride = st.count_bytes / mem.size();
       for (std::size_t i = 0; i < mem.size(); ++i) {
@@ -742,7 +742,7 @@ void hier_gather(const Ctx& c, const void* contrib, std::size_t sbytes,
     for (Slot* sl : held) {
       done_read(*sl);
     }
-    c.ps.blocking_send(c.s, packed.data(),
+    c.ps.blocking_send(*c.s, packed.data(),
                        static_cast<int>(packed.size()), Datatype::byte(), root,
                        tag, false);
     note_wire(c.ps, *c.s, root, packed.size());
@@ -775,7 +775,7 @@ void hier_scatter(const Ctx& c, const void* sendbuf, std::size_t sslot,
       const int dst = head_of(p, ni, root);
       if (p.node_contiguous[static_cast<std::size_t>(ni)] != 0) {
         c.ps.blocking_send(
-            c.s, in + static_cast<std::size_t>(mem.front()) * sslot,
+            *c.s, in + static_cast<std::size_t>(mem.front()) * sslot,
             static_cast<int>(mem.size() * sslot), Datatype::byte(), dst, tag,
             false);
       } else {
@@ -784,7 +784,7 @@ void hier_scatter(const Ctx& c, const void* sendbuf, std::size_t sslot,
           safe_copy(packed.data() + i * sslot,
                     in + static_cast<std::size_t>(mem[i]) * sslot, sslot);
         }
-        c.ps.blocking_send(c.s, packed.data(),
+        c.ps.blocking_send(*c.s, packed.data(),
                            static_cast<int>(packed.size()), Datatype::byte(),
                            dst, tag, false);
       }
@@ -799,7 +799,7 @@ void hier_scatter(const Ctx& c, const void* sendbuf, std::size_t sslot,
     const auto& mine = p.node_members[static_cast<std::size_t>(p.my_node)];
     std::vector<std::byte> scratch(mine.size() * std::max(rbytes, sslot));
     const Status st =
-        c.ps.blocking_recv(c.s, scratch.data(),
+        c.ps.blocking_recv(*c.s, scratch.data(),
                            static_cast<int>(scratch.size()), Datatype::byte(),
                            root, tag);
     const std::size_t stride = st.count_bytes / mine.size();
@@ -902,10 +902,10 @@ void hier_alltoall(const Ctx& c, const void* sendbuf, std::size_t sslot,
         std::vector<std::byte>& rb = rbuf[k & 1];
         rb.resize(nmine * smem.size() * std::max(sslot, rslot));
         auto rreq = c.ps.irecv_impl(
-            c.s, rb.data(), static_cast<int>(rb.size()), Datatype::byte(),
+            *c.s, rb.data(), static_cast<int>(rb.size()), Datatype::byte(),
             p.leaders[static_cast<std::size_t>(srcn)], tag);
         auto sreq = c.ps.isend_impl(
-            c.s, sscratch.data(), static_cast<int>(sscratch.size()),
+            *c.s, sscratch.data(), static_cast<int>(sscratch.size()),
             Datatype::byte(), p.leaders[static_cast<std::size_t>(dstn)], tag,
             false);
         note_wire(c.ps, *c.s, p.leaders[static_cast<std::size_t>(dstn)],
@@ -967,10 +967,10 @@ void flat_bcast(const Ctx& c, void* buf, int count, const Datatype& dt,
   const std::size_t bytes = static_cast<std::size_t>(count) * dt.extent();
 
   if (t.parent >= 0) {
-    c.ps.blocking_recv(c.s, buf, count, dt, t.parent, tag);
+    c.ps.blocking_recv(*c.s, buf, count, dt, t.parent, tag);
   }
   for (int child : t.children) {
-    c.ps.blocking_send(c.s, buf, count, dt, child, tag, false);
+    c.ps.blocking_send(*c.s, buf, count, dt, child, tag, false);
     note_wire(c.ps, *c.s, child, bytes);
   }
 }
@@ -990,7 +990,7 @@ void flat_reduce(const Ctx& c, const void* contrib, void* recvbuf, int count,
         if (r == root) {
           cr = contrib;
         } else {
-          c.ps.blocking_recv(c.s, tmp.data(), count, dt, r, tag);
+          c.ps.blocking_recv(*c.s, tmp.data(), count, dt, r, tag);
           cr = tmp.data();
         }
         if (first) {
@@ -1001,7 +1001,7 @@ void flat_reduce(const Ctx& c, const void* contrib, void* recvbuf, int count,
         }
       }
     } else {
-      c.ps.blocking_send(c.s, contrib, count, dt, root, tag, false);
+      c.ps.blocking_send(*c.s, contrib, count, dt, root, tag, false);
       note_wire(c.ps, *c.s, root, bytes);
     }
     return;
@@ -1014,11 +1014,11 @@ void flat_reduce(const Ctx& c, const void* contrib, void* recvbuf, int count,
 
   std::vector<std::byte> incoming(bytes);
   for (int child : t.children) {
-    c.ps.blocking_recv(c.s, incoming.data(), count, dt, child, tag);
+    c.ps.blocking_recv(*c.s, incoming.data(), count, dt, child, tag);
     op.apply(incoming.data(), acc.data(), count, dt);
   }
   if (t.parent >= 0) {
-    c.ps.blocking_send(c.s, acc.data(), count, dt, t.parent, tag, false);
+    c.ps.blocking_send(*c.s, acc.data(), count, dt, t.parent, tag, false);
     note_wire(c.ps, *c.s, t.parent, bytes);
   } else {
     safe_copy(recvbuf, acc.data(), bytes);
@@ -1041,12 +1041,12 @@ void flat_gather(const Ctx& c, const void* sendbuf, int sendcount,
                              slot));
         }
       } else {
-        c.ps.blocking_recv(c.s, out + static_cast<std::size_t>(r) * slot,
+        c.ps.blocking_recv(*c.s, out + static_cast<std::size_t>(r) * slot,
                            recvcount, rdt, r, tag);
       }
     }
   } else {
-    c.ps.blocking_send(c.s, sendbuf, sendcount, sdt, root, tag, false);
+    c.ps.blocking_send(*c.s, sendbuf, sendcount, sdt, root, tag, false);
     note_wire(c.ps, *c.s, root,
               static_cast<std::size_t>(sendcount) * sdt.extent());
   }
@@ -1068,13 +1068,13 @@ void flat_scatter(const Ctx& c, const void* sendbuf, int sendcount,
                                        rdt.extent()));
         }
       } else {
-        c.ps.blocking_send(c.s, in + static_cast<std::size_t>(r) * slot,
+        c.ps.blocking_send(*c.s, in + static_cast<std::size_t>(r) * slot,
                            sendcount, sdt, r, tag, false);
         note_wire(c.ps, *c.s, r, slot);
       }
     }
   } else {
-    c.ps.blocking_recv(c.s, recvbuf, recvcount, rdt, root, tag);
+    c.ps.blocking_recv(*c.s, recvbuf, recvcount, rdt, root, tag);
   }
 }
 
@@ -1094,10 +1094,10 @@ void flat_alltoall(const Ctx& c, const void* sendbuf, int sendcount,
   for (int i = 1; i < n; ++i) {
     const int to = (c.s->myrank + i) % n;
     const int from = (c.s->myrank - i + n) % n;
-    auto rreq = c.ps.irecv_impl(c.s,
+    auto rreq = c.ps.irecv_impl(*c.s,
                                 out + static_cast<std::size_t>(from) * rslot,
                                 recvcount, rdt, from, tag);
-    auto sreq = c.ps.isend_impl(c.s, in + static_cast<std::size_t>(to) * sslot,
+    auto sreq = c.ps.isend_impl(*c.s, in + static_cast<std::size_t>(to) * sslot,
                                 sendcount, sdt, to, tag, false);
     note_wire(c.ps, *c.s, to, sslot);
     c.ps.progress_until([&] { return rreq->done() && sreq->done(); });
@@ -1361,15 +1361,15 @@ void Communicator::exscan(const void* sendbuf, void* recvbuf, int count,
 
   std::vector<std::byte> prefix(bytes);
   if (s->myrank > 0) {
-    ps.blocking_recv(s, prefix.data(), count, dt, s->myrank - 1, tag);
+    ps.blocking_recv(*s, prefix.data(), count, dt, s->myrank - 1, tag);
     safe_copy(recvbuf, prefix.data(), bytes);
   }
   if (s->myrank + 1 < n) {
     if (s->myrank == 0) {
-      ps.blocking_send(s, contrib, count, dt, 1, tag, false);
+      ps.blocking_send(*s, contrib, count, dt, 1, tag, false);
     } else {
       op.apply(contrib, prefix.data(), count, dt);  // forward = prefix op local
-      ps.blocking_send(s, prefix.data(), count, dt, s->myrank + 1, tag, false);
+      ps.blocking_send(*s, prefix.data(), count, dt, s->myrank + 1, tag, false);
     }
     note_wire(ps, *s, s->myrank + 1, bytes);
   }
@@ -1417,7 +1417,7 @@ void Communicator::gatherv(const void* sendbuf, int sendcount,
                     static_cast<std::size_t>(sendcount) * sdt.extent());
         }
       } else {
-        ps.blocking_recv(s, dst, recvcounts[static_cast<std::size_t>(r)], rdt,
+        ps.blocking_recv(*s, dst, recvcounts[static_cast<std::size_t>(r)], rdt,
                          r, tag);
       }
     }
@@ -1425,7 +1425,7 @@ void Communicator::gatherv(const void* sendbuf, int sendcount,
     if (sendbuf == in_place) {
       s->errh.raise(ErrClass::buffer, "MPI_IN_PLACE gatherv on non-root");
     }
-    ps.blocking_send(s, sendbuf, sendcount, sdt, root, tag, false);
+    ps.blocking_send(*s, sendbuf, sendcount, sdt, root, tag, false);
     note_wire(ps, *s, root,
               static_cast<std::size_t>(sendcount) * sdt.extent());
   }
@@ -1463,7 +1463,7 @@ void Communicator::scan(const void* sendbuf, void* recvbuf, int count,
   }
   if (s->myrank > 0) {
     std::vector<std::byte> prefix(bytes);
-    ps.blocking_recv(s, prefix.data(), count, dt, s->myrank - 1, tag);
+    ps.blocking_recv(*s, prefix.data(), count, dt, s->myrank - 1, tag);
     // recvbuf = prefix op local  (prefix of earlier ranks folds from left)
     std::vector<std::byte> local(bytes);
     safe_copy(local.data(), recvbuf, bytes);
@@ -1471,7 +1471,7 @@ void Communicator::scan(const void* sendbuf, void* recvbuf, int count,
     op.apply(local.data(), recvbuf, count, dt);
   }
   if (s->myrank + 1 < n) {
-    ps.blocking_send(s, recvbuf, count, dt, s->myrank + 1, tag, false);
+    ps.blocking_send(*s, recvbuf, count, dt, s->myrank + 1, tag, false);
     note_wire(ps, *s, s->myrank + 1, bytes);
   }
 }

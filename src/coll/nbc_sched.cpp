@@ -136,7 +136,7 @@ bool poisoned(const RequestPtr& r, std::size_t edge_bytes) {
 RequestPtr edge_send(ProcState& ps, const Sched& sc, const void* buf,
                      int count, const Datatype& dt, int dst, int tag) {
   try {
-    return ps.isend_impl(sc.comm, buf, count, dt, dst, tag, false);
+    return ps.isend_impl(*sc.comm, buf, count, dt, dst, tag, false);
   } catch (const Error& e) {
     RequestPtr r = ps.make_request();
     Status st;
@@ -258,8 +258,8 @@ RequestPtr launch(ProcState& ps, const std::shared_ptr<Sched>& sc,
   const auto post = [&](void* dst, int src, int tag) {
     RequestPtr r =
         sc->count == 0
-            ? ps.irecv_impl(sc->comm, &sc->sink, 1, Datatype::byte(), src, tag)
-            : ps.irecv_impl(sc->comm, dst, sc->count, sc->dt, src, tag);
+            ? ps.irecv_impl(*sc->comm, &sc->sink, 1, Datatype::byte(), src, tag)
+            : ps.irecv_impl(*sc->comm, dst, sc->count, sc->dt, src, tag);
     nbc->recvs.push_back(r);
     return r;
   };

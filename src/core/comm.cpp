@@ -161,7 +161,7 @@ void Communicator::send(const void* buf, int count, const Datatype& dt,
   if (tag < 0) {
     s->errh.raise(ErrClass::tag, "application tags must be >= 0");
   }
-  s->ps->blocking_send(s, buf, count, dt, dst, tag, /*sync=*/false);
+  s->ps->blocking_send(*s, buf, count, dt, dst, tag, /*sync=*/false);
 }
 
 void Communicator::ssend(const void* buf, int count, const Datatype& dt,
@@ -170,7 +170,7 @@ void Communicator::ssend(const void* buf, int count, const Datatype& dt,
   if (tag < 0) {
     s->errh.raise(ErrClass::tag, "application tags must be >= 0");
   }
-  s->ps->blocking_send(s, buf, count, dt, dst, tag, /*sync=*/true);
+  s->ps->blocking_send(*s, buf, count, dt, dst, tag, /*sync=*/true);
 }
 
 Status Communicator::recv(void* buf, int count, const Datatype& dt, int src,
@@ -179,7 +179,7 @@ Status Communicator::recv(void* buf, int count, const Datatype& dt, int src,
   if (tag < 0 && tag != any_tag) {
     s->errh.raise(ErrClass::tag, "application tags must be >= 0");
   }
-  Status st = s->ps->blocking_recv(s, buf, count, dt, src, tag);
+  Status st = s->ps->blocking_recv(*s, buf, count, dt, src, tag);
   if (st.error != ErrClass::success) {
     s->errh.raise(st.error, "receive completed with error");
   }
@@ -192,7 +192,7 @@ Request Communicator::isend(const void* buf, int count, const Datatype& dt,
   if (tag < 0) {
     s->errh.raise(ErrClass::tag, "application tags must be >= 0");
   }
-  return Request{s->ps->isend_impl(s, buf, count, dt, dst, tag, false)};
+  return Request{s->ps->isend_impl(*s, buf, count, dt, dst, tag, false)};
 }
 
 Request Communicator::irecv(void* buf, int count, const Datatype& dt, int src,
@@ -201,7 +201,7 @@ Request Communicator::irecv(void* buf, int count, const Datatype& dt, int src,
   if (tag < 0 && tag != any_tag) {
     s->errh.raise(ErrClass::tag, "application tags must be >= 0");
   }
-  return Request{s->ps->irecv_impl(s, buf, count, dt, src, tag)};
+  return Request{s->ps->irecv_impl(*s, buf, count, dt, src, tag)};
 }
 
 Status Communicator::sendrecv(const void* sendbuf, int sendcount,
@@ -209,8 +209,8 @@ Status Communicator::sendrecv(const void* sendbuf, int sendcount,
                               void* recvbuf, int recvcount, const Datatype& rdt,
                               int src, int recvtag) const {
   const auto& s = checked(state_);
-  auto recv_req = s->ps->irecv_impl(s, recvbuf, recvcount, rdt, src, recvtag);
-  auto send_req = s->ps->isend_impl(s, sendbuf, sendcount, sdt, dst, sendtag,
+  auto recv_req = s->ps->irecv_impl(*s, recvbuf, recvcount, rdt, src, recvtag);
+  auto send_req = s->ps->isend_impl(*s, sendbuf, sendcount, sdt, dst, sendtag,
                                     /*sync=*/false);
   s->ps->progress_until(
       [&] { return recv_req->done() && send_req->done(); });

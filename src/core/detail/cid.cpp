@@ -34,17 +34,17 @@ std::array<std::int64_t, 2> subset_allreduce_max2(
   });
   for (int child : t.children) {
     std::array<std::int64_t, 2> incoming{};
-    ps.blocking_recv(parent, incoming.data(), 2, dt, child, base_tag);
+    ps.blocking_recv(*parent, incoming.data(), 2, dt, child, base_tag);
     value[0] = std::max(value[0], incoming[0]);
     value[1] = std::max(value[1], incoming[1]);
   }
   if (t.parent >= 0) {
-    ps.blocking_send(parent, value.data(), 2, dt, t.parent, base_tag,
+    ps.blocking_send(*parent, value.data(), 2, dt, t.parent, base_tag,
                      /*sync=*/false);
-    ps.blocking_recv(parent, value.data(), 2, dt, t.parent, base_tag - 1);
+    ps.blocking_recv(*parent, value.data(), 2, dt, t.parent, base_tag - 1);
   }
   for (auto it = t.children.rbegin(); it != t.children.rend(); ++it) {
-    ps.blocking_send(parent, value.data(), 2, dt, *it, base_tag - 1,
+    ps.blocking_send(*parent, value.data(), 2, dt, *it, base_tag - 1,
                      /*sync=*/false);
   }
   return value;

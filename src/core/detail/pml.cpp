@@ -33,6 +33,15 @@ void unpack_payload(const RequestImpl& req, const fabric::Payload& payload,
 
 constexpr std::uint64_t kNoStamp = std::numeric_limits<std::uint64_t>::max();
 
+/// Erase the drained entries of `map` (a tag-queue or a bin map) once they
+/// outnumber its `live` ones by more than kIdleSlack (see state.hpp).
+template <class Map, class Drained>
+void sweep_idle(Map& map, std::size_t live, Drained&& drained) {
+  if (map.size() > 2 * live + kIdleSlack) {
+    std::erase_if(map, [&](const auto& kv) { return drained(kv.second); });
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -40,13 +49,31 @@ constexpr std::uint64_t kNoStamp = std::numeric_limits<std::uint64_t>::max();
 // ---------------------------------------------------------------------------
 
 void PostedQueues::insert(const RequestPtr& req) {
-  Bin& bin = req->src == any_source ? wildcard_ : bins_[req->src];
+  Bin* bin = &wildcard_;
+  if (req->src != any_source) {
+    bin = &bins_[req->src];
+    if (bin->empty()) {
+      ++live_bins_;
+    }
+  }
   if (req->tag == any_tag) {
-    bin.any_tag.push_back(req);
+    bin->any_tag.push_back(req);
   } else {
-    bin.by_tag[req->tag].push_back(req);
+    Queue& q = bin->by_tag[req->tag];
+    if (q.empty()) {
+      ++bin->live_tags;
+    }
+    q.push_back(req);
   }
   ++size_;
+}
+
+std::size_t PostedQueues::tag_queue_count() const noexcept {
+  std::size_t n = wildcard_.by_tag.size();
+  for (const auto& [src, bin] : bins_) {
+    n += bin.by_tag.size();
+  }
+  return n;
 }
 
 RequestPtr PostedQueues::take_match(int src, int tag) {
@@ -58,12 +85,12 @@ RequestPtr PostedQueues::take_match(int src, int tag) {
 
   // Up to four candidate queues can hold a matching request; each is
   // stamp-sorted, so the earliest post overall is the min over their heads.
-  std::deque<RequestPtr>* best = nullptr;
+  Queue* best = nullptr;
   std::uint64_t best_stamp = kNoStamp;
   bool best_in_bins = false;
   std::uint64_t wild_heads = 0;
 
-  const auto consider = [&](std::deque<RequestPtr>* q, bool in_bins) {
+  const auto consider = [&](Queue* q, bool in_bins) {
     if (q == nullptr || q->empty()) {
       return;
     }
@@ -80,10 +107,9 @@ RequestPtr PostedQueues::take_match(int src, int tag) {
 
   const auto queues_of = [&](Bin& bin) {
     auto tit = bin.by_tag.find(tag);
-    std::deque<RequestPtr>* exact =
-        tit == bin.by_tag.end() ? nullptr : &tit->second;
+    Queue* exact = tit == bin.by_tag.end() ? nullptr : &tit->second;
     // ANY_TAG posts never match internal (negative) tags.
-    std::deque<RequestPtr>* anytag = tag >= 0 ? &bin.any_tag : nullptr;
+    Queue* anytag = tag >= 0 ? &bin.any_tag : nullptr;
     return std::pair{exact, anytag};
   };
 
@@ -105,27 +131,45 @@ RequestPtr PostedQueues::take_match(int src, int tag) {
     return nullptr;
   }
 
-  RequestPtr req = std::move(best->front());
-  best->pop_front();
+  RequestPtr req = best->take_front();
   --size_;
   if (best_in_bins) {
     bin_hits.add();
   }
-  // Drop emptied exact-tag queues so per-tag map entries don't accumulate.
+  // A drained queue stays for the lane's next message; the sweeps keep
+  // drained entries from accumulating across many distinct tags/sources.
   Bin& owner = best_in_bins ? bit->second : wildcard_;
   if (best != &owner.any_tag && best->empty()) {
-    owner.by_tag.erase(req->tag);
+    --owner.live_tags;
+    sweep_idle(owner.by_tag, owner.live_tags,
+               [](const Queue& q) { return q.empty(); });
   }
-  if (best_in_bins && bit->second.empty()) {
-    bins_.erase(bit);
+  if (best_in_bins && owner.empty()) {
+    --live_bins_;
+    sweep_idle(bins_, live_bins_, [](const Bin& b) { return b.empty(); });
   }
   return req;
 }
 
 void UnexpectedQueues::insert(fabric::Packet&& pkt, std::uint64_t stamp) {
-  auto& dq = bins_[pkt.match.src].by_tag[pkt.match.tag];
-  dq.push_back(Stamped{std::move(pkt), stamp});
+  Bin& bin = bins_[pkt.match.src];
+  if (bin.live_tags == 0) {
+    ++live_bins_;
+  }
+  Queue& q = bin.by_tag[pkt.match.tag];
+  if (q.empty()) {
+    ++bin.live_tags;
+  }
+  q.push_back(Stamped{std::move(pkt), stamp});
   ++size_;
+}
+
+std::size_t UnexpectedQueues::tag_queue_count() const noexcept {
+  std::size_t n = 0;
+  for (const auto& [src, bin] : bins_) {
+    n += bin.by_tag.size();
+  }
+  return n;
 }
 
 std::optional<UnexpectedQueues::Loc> UnexpectedQueues::locate_match(int src,
@@ -151,7 +195,7 @@ std::optional<UnexpectedQueues::Loc> UnexpectedQueues::locate_match(int src,
   };
 
   if (src != any_source && tag != any_tag) {
-    // Fully directed: one deque holds every candidate. O(1).
+    // Fully directed: one queue holds every candidate. O(1).
     auto bit = bins_.find(src);
     if (bit != bins_.end()) {
       consider(bit, bit->second.by_tag.find(tag));
@@ -161,8 +205,12 @@ std::optional<UnexpectedQueues::Loc> UnexpectedQueues::locate_match(int src,
 
   // Wildcard receives arbitrate over queue heads: per candidate source,
   // per stored tag for ANY_TAG (negative tags excluded — internal traffic
-  // never matches a wildcard).
+  // never matches a wildcard). Drained bins and queues kept for reuse hold
+  // no candidate and are not counted as scanned.
   const auto consider_bin = [&](BinMap::iterator bit) {
+    if (bit->second.live_tags == 0) {
+      return;
+    }
     if (tag != any_tag) {
       ++scanned;
       consider(bit, bit->second.by_tag.find(tag));
@@ -170,7 +218,7 @@ std::optional<UnexpectedQueues::Loc> UnexpectedQueues::locate_match(int src,
     }
     for (auto tit = bit->second.by_tag.begin(); tit != bit->second.by_tag.end();
          ++tit) {
-      if (tit->first < 0) {
+      if (tit->first < 0 || tit->second.empty()) {
         continue;
       }
       ++scanned;
@@ -199,14 +247,18 @@ std::optional<fabric::Packet> UnexpectedQueues::take_match(int src, int tag) {
   if (!loc) {
     return std::nullopt;
   }
-  auto& dq = loc->tq->second;
-  fabric::Packet pkt = std::move(dq.front().pkt);
-  dq.pop_front();
+  Queue& q = loc->tq->second;
+  fabric::Packet pkt = std::move(q.take_front().pkt);
   --size_;
-  if (dq.empty()) {
-    loc->bin->second.by_tag.erase(loc->tq);
-    if (loc->bin->second.by_tag.empty()) {
-      bins_.erase(loc->bin);
+  if (q.empty()) {
+    Bin& bin = loc->bin->second;
+    --bin.live_tags;
+    sweep_idle(bin.by_tag, bin.live_tags,
+               [](const Queue& dq) { return dq.empty(); });
+    if (bin.live_tags == 0) {
+      --live_bins_;
+      sweep_idle(bins_, live_bins_,
+                 [](const Bin& b) { return b.live_tags == 0; });
     }
   }
   return pkt;
@@ -232,12 +284,11 @@ bool ProcState::match_against_unexpected(CommState& comm,
   if (!pkt) {
     return false;
   }
-  deliver(comm, req, std::move(*pkt));
+  deliver(req, std::move(*pkt));
   return true;
 }
 
-void ProcState::handle_incoming(const std::shared_ptr<CommState>& comm,
-                                fabric::Packet&& pkt) {
+void ProcState::handle_incoming(CommState& comm, fabric::Packet&& pkt) {
   OBS_SPAN("pml.match", "core");
   // Causal edge in: closes the flow the sender opened in isend_impl, so the
   // merged view draws a send->match arrow across rank tracks. The fabric
@@ -251,8 +302,8 @@ void ProcState::handle_incoming(const std::shared_ptr<CommState>& comm,
   // overtaking arrival would show up here as a non-+1 step.
   static const auto seq_anomalies = base::counter("pml.seq_anomalies");
   if (pkt.match.seq != 0) {
-    if (pkt.match.src >= 0 && pkt.match.src < comm->size()) {
-      auto& peer = comm->peer_at(pkt.match.src);
+    if (pkt.match.src >= 0 && pkt.match.src < comm.size()) {
+      auto& peer = comm.peer_at(pkt.match.src);
       if (pkt.match.seq != peer.recv_seq + 1) {
         seq_anomalies.add();
       }
@@ -264,16 +315,14 @@ void ProcState::handle_incoming(const std::shared_ptr<CommState>& comm,
       seq_anomalies.add();
     }
   }
-  if (RequestPtr req = match_posted(*comm, pkt)) {
-    deliver(*comm, req, std::move(pkt));
+  if (RequestPtr req = match_posted(comm, pkt)) {
+    deliver(req, std::move(pkt));
   } else {
-    comm->unexpected.insert(std::move(pkt), comm->next_match_stamp++);
+    comm.unexpected.insert(std::move(pkt), comm.next_match_stamp++);
   }
 }
 
-void ProcState::deliver(CommState& comm, const RequestPtr& req,
-                        fabric::Packet&& pkt) {
-  (void)comm;  // kept in the signature for symmetry / future stats
+void ProcState::deliver(const RequestPtr& req, fabric::Packet&& pkt) {
   Status st;
   st.source = pkt.match.src;
   st.tag = pkt.match.tag;
@@ -318,12 +367,14 @@ void ProcState::dispatch(fabric::Packet&& pkt) {
     case PacketKind::eager:
     case PacketKind::rndv_rts: {
       // Fast path: constant-time lookup in the local communicator array.
+      // The table only changes under mu, which the caller holds, so a
+      // plain pointer into it needs no reference of its own.
       base::precise_delay(cost.match_fast_path_ns);
-      std::shared_ptr<CommState> comm =
-          pkt.match.cid < comm_by_cid.size() ? comm_by_cid[pkt.match.cid]
-                                             : nullptr;
-      if (comm && !comm->freed) {
-        handle_incoming(comm, std::move(pkt));
+      CommState* comm = pkt.match.cid < comm_by_cid.size()
+                            ? comm_by_cid[pkt.match.cid].get()
+                            : nullptr;
+      if (comm != nullptr && !comm->freed) {
+        handle_incoming(*comm, std::move(pkt));
       }
       return;
     }
@@ -339,8 +390,8 @@ void ProcState::dispatch(fabric::Packet&& pkt) {
         orphans.push_back(std::move(pkt));
         return;
       }
-      std::shared_ptr<CommState> comm = it->second;
-      auto& peer = comm->peer_at(pkt.match.src);
+      CommState& comm = *it->second;
+      auto& peer = comm.peer_at(pkt.match.src);
       peer.remote_cid = pkt.ext.sender_cid;
       if (!peer.ack_sent) {
         peer.ack_sent = true;
@@ -348,10 +399,10 @@ void ProcState::dispatch(fabric::Packet&& pkt) {
         ack.kind = PacketKind::cid_ack;
         ack.src_rank = proc.rank();
         ack.dst_rank = pkt.src_rank;
-        ack.match.src = comm->myrank;
+        ack.match.src = comm.myrank;
         ack.ext.excid_hi = id.hi;
         ack.ext.excid_lo = id.lo;
-        ack.ext.sender_cid = comm->cid;
+        ack.ext.sender_cid = comm.cid;
         proc.cluster().fabric().send(std::move(ack));
       }
       handle_incoming(comm, std::move(pkt));
@@ -391,7 +442,6 @@ void ProcState::dispatch(fabric::Packet&& pkt) {
       RequestPtr req = it->second;
       recv_tokens.erase(it);
       Status st;
-      st.source = req->status.source;  // set at match time? recompute below
       unpack_payload(*req, pkt.payload, st);
       st.source = req->rndv_source;
       st.tag = req->rndv_tag;
@@ -753,44 +803,32 @@ void ProcState::progress_until(const std::function<bool()>& done) {
 // Point-to-point primitives
 // ---------------------------------------------------------------------------
 
-void ProcState::resolve_endpoint(const std::shared_ptr<CommState>& comm,
-                                 int dst) {
-  {
-    std::lock_guard lock(mu);
-    if (comm->peer_at(dst).endpoint_resolved) {
-      return;
-    }
+void ProcState::fetch_endpoint(base::Rank global) {
+  if (global == proc.rank()) {
+    return;
   }
-  const base::Rank global = comm->global_of(dst);
-  if (global != proc.rank()) {
-    auto v = pmix().peer_info(global, "pml.endpoint");
-    if (!v.ok()) {
-      if (v.error() == ErrClass::rte_proc_failed) {
-        // Negative cache: the peer died before it ever published. Escalate
-        // instead of letting the first send block forever on a void peer.
-        throw Error(ErrClass::rte_proc_failed,
-                    "peer failed before first contact (modex)");
-      }
-      throw Error(v.error(), "peer endpoint resolution failed");
+  auto v = pmix().peer_info(global, "pml.endpoint");
+  if (!v.ok()) {
+    if (v.error() == ErrClass::rte_proc_failed) {
+      // Negative cache: the peer died before it ever published. Escalate
+      // instead of letting the first send block forever on a void peer.
+      throw Error(ErrClass::rte_proc_failed,
+                  "peer failed before first contact (modex)");
     }
+    throw Error(v.error(), "peer endpoint resolution failed");
   }
-  std::lock_guard lock(mu);
-  comm->peer_at(dst).endpoint_resolved = true;
 }
 
-RequestPtr ProcState::isend_impl(const std::shared_ptr<CommState>& comm,
-                                 const void* buf, int count, const Datatype& dt,
-                                 int dst, int tag, bool sync) {
-  if (dst < 0 || dst >= comm->size()) {
+RequestPtr ProcState::isend_impl(CommState& comm, const void* buf, int count,
+                                 const Datatype& dt, int dst, int tag,
+                                 bool sync) {
+  if (dst < 0 || dst >= comm.size()) {
     throw Error(ErrClass::rank, "send destination out of range");
   }
   const std::size_t bytes = packed_bytes(count, dt);
-  // Lazy modex: first contact with this peer fetches its endpoint blob
-  // (cache hit ever after; eager mode pre-populated the cache at init).
-  resolve_endpoint(comm, dst);
   RequestPtr req = make_request();
   req->ps = this;
-  req->comm = comm.get();
+  req->comm = &comm;
   req->dst = dst;
 
   OBS_SPAN_ARG("pml.send", "core", bytes);
@@ -801,18 +839,31 @@ RequestPtr ProcState::isend_impl(const std::shared_ptr<CommState>& comm,
 
   fabric::Packet pkt;
   pkt.src_rank = proc.rank();
-  pkt.dst_rank = comm->global_of(dst);
+  pkt.dst_rank = comm.global_of(dst);
   pkt.match.tag = tag;
-  pkt.match.src = comm->myrank;
+  pkt.match.src = comm.myrank;
 
   bool eager = bytes <= kEagerLimit;
   {
-    std::lock_guard lock(mu);
-    if (comm->revoked && !is_ft_tag(tag)) {
+    // The one critical section of a send to a warm peer: the peer entry is
+    // looked up once and serves the modex check, the sequence number and
+    // the CID choice.
+    std::unique_lock lock(mu);
+    CommState::Peer* peer = &comm.peer_at(dst);
+    if (!peer->endpoint_resolved) {
+      // Lazy modex: first contact with this peer fetches its endpoint blob
+      // (cache hit ever after; eager mode pre-populated the cache at init).
+      // The fetch blocks, so it runs unlocked.
+      lock.unlock();
+      fetch_endpoint(pkt.dst_rank);
+      lock.lock();
+      peer = &comm.peer_at(dst);
+      peer->endpoint_resolved = true;
+    }
+    if (comm.revoked && !is_ft_tag(tag)) {
       throw Error(ErrClass::comm_revoked, "communicator has been revoked");
     }
-    auto& peer = comm->peer_at(dst);
-    pkt.match.seq = ++peer.send_seq;
+    pkt.match.seq = ++peer->send_seq;
     if (obs::Tracer::instance().enabled()) {
       // Causal trace context (DESIGN.md §16): inside a collective the
       // engine pins one shared id per op (ScopedFlowContext) so every
@@ -827,25 +878,25 @@ RequestPtr ProcState::isend_impl(const std::shared_ptr<CommState>& comm,
         OBS_FLOW_START("pml.msg", "core", pkt.match.trace_ctx, bytes);
       }
     }
-    const bool need_ext = comm->uses_excid && peer.remote_cid < 0;
+    const bool need_ext = comm.uses_excid && peer->remote_cid < 0;
     if (need_ext) {
       // First messages on a sessions-derived communicator: prepend the
       // exCID header with our local CID; keep doing so until the ACK lands.
       pkt.kind = eager ? fabric::PacketKind::eager_ext
                        : fabric::PacketKind::rndv_rts_ext;
-      pkt.match.cid = comm->cid;
-      pkt.ext.excid_hi = comm->excid_space.id().hi;
-      pkt.ext.excid_lo = comm->excid_space.id().lo;
-      pkt.ext.sender_cid = comm->cid;
-      ++comm->ext_headers_sent;
-      OBS_INSTANT_ARG("pml.ext_header", "core", comm->ext_headers_sent);
+      pkt.match.cid = comm.cid;
+      pkt.ext.excid_hi = comm.excid_space.id().hi;
+      pkt.ext.excid_lo = comm.excid_space.id().lo;
+      pkt.ext.sender_cid = comm.cid;
+      ++comm.ext_headers_sent;
+      OBS_INSTANT_ARG("pml.ext_header", "core", comm.ext_headers_sent);
       base::precise_delay(cost.ext_send_overhead_ns);
     } else {
       pkt.kind = eager ? fabric::PacketKind::eager : fabric::PacketKind::rndv_rts;
-      pkt.match.cid = comm->uses_excid
-                          ? static_cast<std::uint16_t>(peer.remote_cid)
-                          : comm->cid;
-      ++comm->fast_headers_sent;
+      pkt.match.cid = comm.uses_excid
+                          ? static_cast<std::uint16_t>(peer->remote_cid)
+                          : comm.cid;
+      ++comm.fast_headers_sent;
     }
     if (eager) {
       pkt.payload = std::move(payload);
@@ -874,16 +925,15 @@ RequestPtr ProcState::isend_impl(const std::shared_ptr<CommState>& comm,
   return req;
 }
 
-RequestPtr ProcState::irecv_impl(const std::shared_ptr<CommState>& comm,
-                                 void* buf, int count, const Datatype& dt,
-                                 int src, int tag) {
-  if (src != any_source && (src < 0 || src >= comm->size())) {
+RequestPtr ProcState::irecv_impl(CommState& comm, void* buf, int count,
+                                 const Datatype& dt, int src, int tag) {
+  if (src != any_source && (src < 0 || src >= comm.size())) {
     throw Error(ErrClass::rank, "receive source out of range");
   }
   const std::size_t capacity = packed_bytes(count, dt);
   RequestPtr req = make_request();
   req->ps = this;
-  req->comm = comm.get();
+  req->comm = &comm;
   req->kind = RequestImpl::Kind::recv;
   req->buf = buf;
   req->capacity = capacity;
@@ -893,19 +943,18 @@ RequestPtr ProcState::irecv_impl(const std::shared_ptr<CommState>& comm,
 
   OBS_SPAN("pml.recv.post", "core");
   std::lock_guard lock(mu);
-  if (comm->revoked && !is_ft_tag(tag)) {
+  if (comm.revoked && !is_ft_tag(tag)) {
     throw Error(ErrClass::comm_revoked, "communicator has been revoked");
   }
-  if (!match_against_unexpected(*comm, req)) {
-    req->post_stamp = comm->next_match_stamp++;
-    comm->posted.insert(req);
+  if (!match_against_unexpected(comm, req)) {
+    req->post_stamp = comm.next_match_stamp++;
+    comm.posted.insert(req);
   }
   return req;
 }
 
-Status ProcState::blocking_recv(const std::shared_ptr<CommState>& comm,
-                                void* buf, int count, const Datatype& dt,
-                                int src, int tag) {
+Status ProcState::blocking_recv(CommState& comm, void* buf, int count,
+                                const Datatype& dt, int src, int tag) {
   const std::int64_t t0 = base::now_ns();
   RequestPtr req = irecv_impl(comm, buf, count, dt, src, tag);
   progress_until([&] { return req->done(); });
@@ -927,9 +976,8 @@ Status ProcState::blocking_recv(const std::shared_ptr<CommState>& comm,
   return req->status;
 }
 
-void ProcState::blocking_send(const std::shared_ptr<CommState>& comm,
-                              const void* buf, int count, const Datatype& dt,
-                              int dst, int tag, bool sync) {
+void ProcState::blocking_send(CommState& comm, const void* buf, int count,
+                              const Datatype& dt, int dst, int tag, bool sync) {
   const std::int64_t t0 = base::now_ns();
   RequestPtr req = isend_impl(comm, buf, count, dt, dst, tag, sync);
   progress_until([&] { return req->done(); });

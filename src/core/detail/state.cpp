@@ -41,6 +41,60 @@ void dump_proc_state(ProcState& ps, std::ostream& os) {
 
 }  // namespace
 
+void* RequestPool::allocate(std::size_t bytes) {
+  {
+    std::lock_guard lock(mu_);
+    if (block_size_ == 0) {
+      block_size_ = bytes;
+    }
+    if (bytes == block_size_ && !blocks_.empty()) {
+      void* b = blocks_.back();
+      blocks_.pop_back();
+      ++outstanding_;
+      return b;
+    }
+  }
+  void* b = ::operator new(bytes);
+  std::lock_guard lock(mu_);
+  ++outstanding_;
+  return b;
+}
+
+void RequestPool::deallocate(void* p, std::size_t bytes) noexcept {
+  bool last = false;
+  {
+    std::lock_guard lock(mu_);
+    --outstanding_;
+    if (owned_ && bytes == block_size_ && blocks_.size() < kMaxCached) {
+      blocks_.push_back(p);
+      return;
+    }
+    last = !owned_ && outstanding_ == 0;
+  }
+  ::operator delete(p);
+  if (last) {
+    delete this;
+  }
+}
+
+void RequestPool::release_owner() noexcept {
+  bool last = false;
+  {
+    std::lock_guard lock(mu_);
+    owned_ = false;
+    last = outstanding_ == 0;
+  }
+  if (last) {
+    delete this;
+  }
+}
+
+RequestPool::~RequestPool() {
+  for (void* b : blocks_) {
+    ::operator delete(b);
+  }
+}
+
 ProcState::ProcState(sim::Process& p)
     : proc(p), cost(p.cluster().dvm().cost()) {
   ensure_subsystems_defined();

@@ -11,7 +11,6 @@
 // while parked on the endpoint inbox.
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -22,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sessmpi/base/ring_queue.hpp"
 #include "sessmpi/base/slot_allocator.hpp"
 #include "sessmpi/comm.hpp"
 #include "sessmpi/constants.hpp"
@@ -98,8 +98,8 @@ struct NbcOp {
 // ---------------------------------------------------------------------------
 //
 // Both queues replace the historical single posting-ordered deque with
-// per-source bins: a deque per exact tag plus (posted side) a per-source
-// any-tag deque, and a structurally identical wildcard bin for ANY_SOURCE
+// per-source bins: a FIFO per exact tag plus (posted side) a per-source
+// any-tag FIFO, and a structurally identical wildcard bin for ANY_SOURCE
 // posts. Entries carry a monotonic stamp (CommState::next_match_stamp)
 // assigned in posting/arrival order; matching takes the minimum stamp
 // across the (at most four) candidate queue heads, which is equivalent to
@@ -109,6 +109,18 @@ struct NbcOp {
 // from O(posted) to O(1) amortized; wildcard arbitration touches only
 // queue *heads*, never every entry. take_match/peek_match live in pml.cpp
 // so they can feed the pml.match_bin_hits / pml.wildcard_scans counters.
+//
+// Storage is reused: a queue that drains keeps its ring (base::RingQueue)
+// and its map entry, and a bin whose queues all drained stays in the bin
+// map, so a message on a warm (source, tag) lane allocates nothing.
+// Drained entries are swept once they outnumber the live ones by more
+// than kIdleSlack, which bounds the tables at 2 * live + kIdleSlack
+// entries however many distinct (internal) tags pass through, at O(1)
+// amortized cost per match.
+
+/// Drained queues and bins a matching table keeps for reuse beyond its
+/// live ones before it sweeps them.
+inline constexpr std::size_t kIdleSlack = 8;
 
 /// Posted receives, binned by source rank and tag.
 class PostedQueues {
@@ -128,31 +140,40 @@ class PostedQueues {
       prune_bin(bit->second, pred);
       bit = bit->second.empty() ? bins_.erase(bit) : std::next(bit);
     }
+    live_bins_ = bins_.size();
     prune_bin(wildcard_, pred);
   }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Source bins held, drained ones included (the memory bound's witness).
+  [[nodiscard]] std::size_t bin_count() const noexcept { return bins_.size(); }
+  /// Exact-tag queues held across every bin, drained ones included.
+  [[nodiscard]] std::size_t tag_queue_count() const noexcept;
 
  private:
+  using Queue = base::RingQueue<RequestPtr>;
   struct Bin {
-    std::unordered_map<int, std::deque<RequestPtr>> by_tag;  ///< exact tag
-    std::deque<RequestPtr> any_tag;                          ///< ANY_TAG posts
+    std::unordered_map<int, Queue> by_tag;  ///< exact tag
+    Queue any_tag;                          ///< ANY_TAG posts
+    std::size_t live_tags = 0;              ///< non-empty by_tag queues
     [[nodiscard]] bool empty() const noexcept {
-      return by_tag.empty() && any_tag.empty();
+      return live_tags == 0 && any_tag.empty();
     }
   };
 
   template <class Pred>
   void prune_bin(Bin& bin, Pred& pred) {
     for (auto tit = bin.by_tag.begin(); tit != bin.by_tag.end();) {
-      size_ -= std::erase_if(tit->second, pred);
+      size_ -= tit->second.erase_if(pred);
       tit = tit->second.empty() ? bin.by_tag.erase(tit) : std::next(tit);
     }
-    size_ -= std::erase_if(bin.any_tag, pred);
+    bin.live_tags = bin.by_tag.size();
+    size_ -= bin.any_tag.erase_if(pred);
   }
 
   std::unordered_map<int, Bin> bins_;  ///< keyed by source comm rank
+  std::size_t live_bins_ = 0;          ///< non-empty entries of bins_
   Bin wildcard_;                       ///< ANY_SOURCE posts
   std::size_t size_ = 0;
 };
@@ -180,20 +201,28 @@ class UnexpectedQueues {
     for (auto bit = bins_.begin(); bit != bins_.end();) {
       Bin& bin = bit->second;
       for (auto tit = bin.by_tag.begin(); tit != bin.by_tag.end();) {
-        size_ -= std::erase_if(
-            tit->second, [&](const Stamped& s) { return pred(s.pkt); });
+        size_ -= tit->second.erase_if(
+            [&](const Stamped& s) { return pred(s.pkt); });
         tit = tit->second.empty() ? bin.by_tag.erase(tit) : std::next(tit);
       }
+      bin.live_tags = bin.by_tag.size();
       bit = bin.by_tag.empty() ? bins_.erase(bit) : std::next(bit);
     }
+    live_bins_ = bins_.size();
   }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Source bins held, drained ones included (the memory bound's witness).
+  [[nodiscard]] std::size_t bin_count() const noexcept { return bins_.size(); }
+  /// Tag queues held across every bin, drained ones included.
+  [[nodiscard]] std::size_t tag_queue_count() const noexcept;
 
  private:
+  using Queue = base::RingQueue<Stamped>;
   struct Bin {
-    std::unordered_map<int, std::deque<Stamped>> by_tag;
+    std::unordered_map<int, Queue> by_tag;
+    std::size_t live_tags = 0;  ///< non-empty by_tag queues
   };
   using BinMap = std::unordered_map<int, Bin>;
 
@@ -201,11 +230,12 @@ class UnexpectedQueues {
   /// feeds both take (erasing) and peek (const) paths.
   struct Loc {
     BinMap::iterator bin;
-    std::unordered_map<int, std::deque<Stamped>>::iterator tq;
+    std::unordered_map<int, Queue>::iterator tq;
   };
   std::optional<Loc> locate_match(int src, int tag);
 
   BinMap bins_;  ///< keyed by source comm rank
+  std::size_t live_bins_ = 0;  ///< entries of bins_ with live_tags > 0
   std::size_t size_ = 0;
 };
 
@@ -300,19 +330,34 @@ struct SessionState {
 /// Freelist of uniform-size raw blocks recycled across RequestImpl
 /// shared_ptr control blocks. std::allocate_shared fuses object + control
 /// block into one allocation of a fixed size, so a simple single-size pool
-/// removes the per-message make_shared heap churn on the pt2pt path. Held
-/// by shared_ptr from both the ProcState and every live Request's deleter,
+/// removes the per-message make_shared heap churn on the pt2pt path. The
+/// allocator holds a plain pointer, so creating a request costs no
+/// reference-count traffic; instead the pool counts the blocks it has out
+/// and outlives its owner (release_owner) until the last one comes back,
 /// so user-held requests may safely outlive the process they came from.
-struct RequestPool {
+class RequestPool {
+ public:
   static constexpr std::size_t kMaxCached = 4096;
-  std::mutex mu;
-  std::size_t block_size = 0;  ///< fixed on first allocation
-  std::vector<void*> blocks;
-  ~RequestPool() {
-    for (void* b : blocks) {
-      ::operator delete(b);
-    }
-  }
+
+  void* allocate(std::size_t bytes);
+  void deallocate(void* p, std::size_t bytes) noexcept;
+  /// The owner is done with the pool: it frees itself now if no block is
+  /// out, else when the last outstanding block is deallocated.
+  void release_owner() noexcept;
+
+  /// unique_ptr deleter for the owner's handle.
+  struct Owner {
+    void operator()(RequestPool* p) const noexcept { p->release_owner(); }
+  };
+
+ private:
+  ~RequestPool();
+
+  std::mutex mu_;
+  std::size_t block_size_ = 0;  ///< fixed on first allocation
+  std::vector<void*> blocks_;
+  std::size_t outstanding_ = 0;  ///< blocks handed out, not yet returned
+  bool owned_ = true;
 };
 
 template <class T>
@@ -320,38 +365,16 @@ class RequestPoolAlloc {
  public:
   using value_type = T;
 
-  explicit RequestPoolAlloc(std::shared_ptr<RequestPool> pool)
-      : pool_(std::move(pool)) {}
+  explicit RequestPoolAlloc(RequestPool* pool) noexcept : pool_(pool) {}
   template <class U>
-  RequestPoolAlloc(const RequestPoolAlloc<U>& other) : pool_(other.pool_) {}
+  RequestPoolAlloc(const RequestPoolAlloc<U>& other) noexcept
+      : pool_(other.pool_) {}
 
   T* allocate(std::size_t n) {
-    const std::size_t bytes = n * sizeof(T);
-    {
-      std::lock_guard lock(pool_->mu);
-      if (pool_->block_size == 0) {
-        pool_->block_size = bytes;
-      }
-      if (bytes == pool_->block_size && !pool_->blocks.empty()) {
-        void* b = pool_->blocks.back();
-        pool_->blocks.pop_back();
-        return static_cast<T*>(b);
-      }
-    }
-    return static_cast<T*>(::operator new(bytes));
+    return static_cast<T*>(pool_->allocate(n * sizeof(T)));
   }
-
   void deallocate(T* p, std::size_t n) noexcept {
-    const std::size_t bytes = n * sizeof(T);
-    {
-      std::lock_guard lock(pool_->mu);
-      if (bytes == pool_->block_size &&
-          pool_->blocks.size() < RequestPool::kMaxCached) {
-        pool_->blocks.push_back(p);
-        return;
-      }
-    }
-    ::operator delete(p);
+    pool_->deallocate(p, n * sizeof(T));
   }
 
   template <class U>
@@ -363,7 +386,7 @@ class RequestPoolAlloc {
   template <class U>
   friend class RequestPoolAlloc;
 
-  std::shared_ptr<RequestPool> pool_;
+  RequestPool* pool_;
 };
 
 struct ProcState {
@@ -391,11 +414,12 @@ struct ProcState {
   std::map<std::pair<base::Rank, std::uint64_t>, RequestPtr> recv_tokens;
   std::uint64_t next_token = 1;
   std::vector<RequestPtr> nbc_live;
-  std::shared_ptr<RequestPool> req_pool = std::make_shared<RequestPool>();
+  std::unique_ptr<RequestPool, RequestPool::Owner> req_pool{new RequestPool};
 
   /// Pool-backed replacement for make_shared<RequestImpl>().
   RequestPtr make_request() {
-    return std::allocate_shared<RequestImpl>(RequestPoolAlloc<RequestImpl>(req_pool));
+    return std::allocate_shared<RequestImpl>(
+        RequestPoolAlloc<RequestImpl>(req_pool.get()));
   }
 
   // --- session / world bookkeeping ----------------------------------------
@@ -453,21 +477,17 @@ struct ProcState {
   void dispatch(fabric::Packet&& pkt);
 
   // --- pt2pt primitives (comm ranks; callers hold no lock) -----------------
-  /// Lazy modex (DESIGN.md §15): make sure dst's endpoint blob has been
-  /// fetched and cached; first contact pays one dmodex get, repeats are
-  /// free. Throws Error(rte_proc_failed) if the peer died before it ever
-  /// published (negative cache) so a send cannot hang on a void peer.
-  void resolve_endpoint(const std::shared_ptr<CommState>& comm, int dst);
-  RequestPtr isend_impl(const std::shared_ptr<CommState>& comm, const void* buf,
-                        int count, const Datatype& dt, int dst, int tag,
-                        bool sync);
-  RequestPtr irecv_impl(const std::shared_ptr<CommState>& comm, void* buf,
-                        int count, const Datatype& dt, int src, int tag);
-  Status blocking_recv(const std::shared_ptr<CommState>& comm, void* buf,
-                       int count, const Datatype& dt, int src, int tag);
-  void blocking_send(const std::shared_ptr<CommState>& comm, const void* buf,
-                     int count, const Datatype& dt, int dst, int tag,
-                     bool sync);
+  // A send takes mu once (twice on a peer's first contact, around the
+  // modex fetch) and looks its Peer up once; DESIGN.md §12 gives the whole
+  // per-message budget.
+  RequestPtr isend_impl(CommState& comm, const void* buf, int count,
+                        const Datatype& dt, int dst, int tag, bool sync);
+  RequestPtr irecv_impl(CommState& comm, void* buf, int count,
+                        const Datatype& dt, int src, int tag);
+  Status blocking_recv(CommState& comm, void* buf, int count,
+                       const Datatype& dt, int src, int tag);
+  void blocking_send(CommState& comm, const void* buf, int count,
+                     const Datatype& dt, int dst, int tag, bool sync);
 
   // --- communicator registration --------------------------------------------
   /// Create and register a CommState. `fixed_cid` pins the local CID (world
@@ -505,11 +525,16 @@ struct ProcState {
   /// Complete requests whose specific peer has failed (mu held).
   void sweep_failed_peers_locked();
 
+  /// Lazy modex (DESIGN.md §15): fetch the endpoint blob of `global`
+  /// (mu not held: the fetch blocks); first contact pays one dmodex get,
+  /// and the caller marks the peer resolved so repeats are free. Throws
+  /// Error(rte_proc_failed) if the peer died before it ever published
+  /// (negative cache) so a send cannot hang on a void peer.
+  void fetch_endpoint(base::Rank global);
   RequestPtr match_posted(CommState& comm, const fabric::Packet& pkt);
   bool match_against_unexpected(CommState& comm, const RequestPtr& req);
-  void handle_incoming(const std::shared_ptr<CommState>& comm,
-                       fabric::Packet&& pkt);
-  void deliver(CommState& comm, const RequestPtr& req, fabric::Packet&& pkt);
+  void handle_incoming(CommState& comm, fabric::Packet&& pkt);
+  void deliver(const RequestPtr& req, fabric::Packet&& pkt);
 };
 
 /// World Process Model object construction/teardown (defined in world.cpp;

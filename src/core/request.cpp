@@ -8,10 +8,11 @@ Status Request::wait() {
   if (!impl_) {
     return Status{};
   }
-  auto impl = impl_;
-  impl->ps->progress_until([&] { return impl->done(); });
+  const detail::RequestImpl& impl = *impl_;
+  impl.ps->progress_until([&] { return impl.done(); });
+  const Status st = impl.status;
   impl_.reset();  // MPI_Wait sets the request to MPI_REQUEST_NULL
-  return impl->status;
+  return st;
 }
 
 bool Request::test() {

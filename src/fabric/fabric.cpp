@@ -208,6 +208,50 @@ inline std::uint64_t flow_key(Rank src, Rank dst, std::uint8_t rail) noexcept {
 }
 }  // namespace
 
+Fabric::Flow::Unacked& Fabric::Flow::Window::add(std::uint64_t seq) {
+  if (ring_.empty()) {
+    first_ = seq;
+  }
+  ring_.push_back(Slot{{}, true});  // seq == first_ + ring_.size() - 1
+  ++live_;
+  return ring_.back().entry;
+}
+
+Fabric::Flow::Unacked* Fabric::Flow::Window::find(std::uint64_t seq) noexcept {
+  if (seq < first_ || seq - first_ >= ring_.size()) {
+    return nullptr;
+  }
+  Slot& s = ring_[seq - first_];
+  return s.live ? &s.entry : nullptr;
+}
+
+bool Fabric::Flow::Window::erase(std::uint64_t seq) {
+  if (find(seq) == nullptr) {
+    return false;
+  }
+  Slot& s = ring_[seq - first_];
+  s.live = false;
+  s.entry = Unacked{};  // drop the retained packet now
+  --live_;
+  pop_retired();
+  return true;
+}
+
+std::pair<std::uint64_t, Fabric::Flow::Unacked*>
+Fabric::Flow::Window::last() noexcept {
+  std::size_t i = ring_.size();
+  while (!ring_[--i].live) {
+  }
+  return {first_ + i, &ring_[i].entry};
+}
+
+void Fabric::Flow::Window::pop_retired() {
+  while (!ring_.empty() && !ring_.front().live) {
+    ring_.pop_front();
+    ++first_;
+  }
+}
+
 Fabric::Flow& Fabric::flow(Rank src, Rank dst, std::uint8_t rail) {
   const std::uint64_t key = flow_key(src, dst, rail);
   FlowShard& shard = flow_shards_[key % kFlowShards];
@@ -316,7 +360,13 @@ void Fabric::send(Packet&& packet) {
   // ground truth; the piggyback just retires windows earlier for free.
   // Piggybacks always describe the rail-0 reverse flow — control and eager
   // traffic ride rail 0; striped rails are acked by explicit flow_acks.
-  if (Flow* rev = flow_if_exists(dst, src)) {
+  //
+  // The two flows this packet touches are resolved here, once, and handed
+  // down through windowing, delivery and arming: the forward flow and the
+  // reverse flow its piggyback acknowledges. Flows are never destroyed
+  // before the fabric, so the references stay valid.
+  Flow* rev = flow_if_exists(dst, src);
+  if (rev != nullptr) {
     std::lock_guard lock(rev->mu);
     packet.flow.ack = rev->cum_delivered;
   }
@@ -331,8 +381,8 @@ void Fabric::send(Packet&& packet) {
   const std::uint64_t seq = packet.flow.seq;
   OBS_ASYNC_BEGIN(src, "fabric.inflight", "fabric",
                   flow_trace_id(src, dst, 0, seq), seq);
-  transmit(std::move(packet), /*charge_wire=*/true);
-  arm_entry(src, dst, 0, seq, rto_ns);
+  transmit(std::move(packet), /*charge_wire=*/true, &f, rev);
+  arm_entry(f, seq, rto_ns);
 }
 
 bool Fabric::window_packet(Flow& f, Packet& packet, std::int64_t rto_ns) {
@@ -345,7 +395,7 @@ bool Fabric::window_packet(Flow& f, Packet& packet, std::int64_t rto_ns) {
           stop_.load(std::memory_order_relaxed)) {
         packet.flow.seq = f.next_seq++;
         packet.flow.rail = f.rail;
-        Flow::Unacked& entry = f.window[packet.flow.seq];
+        Flow::Unacked& entry = f.window.add(packet.flow.seq);
         entry.pkt = packet;  // retained for retransmission; the refcounted
                              // Payload makes this a header-only copy
         entry.rto_ns = rto_ns;
@@ -383,7 +433,8 @@ void Fabric::send_striped(Packet&& packet) {
   const auto nseg = static_cast<std::size_t>(cc_.rails);
   OBS_SPAN_ARG("fabric.send_striped", "fabric", total);
   std::uint64_t rev_cum = 0;
-  if (Flow* rev = flow_if_exists(dst, src)) {
+  Flow* rev = flow_if_exists(dst, src);
+  if (rev != nullptr) {
     std::lock_guard lock(rev->mu);
     rev_cum = rev->cum_delivered;
   }
@@ -394,6 +445,7 @@ void Fabric::send_striped(Packet&& packet) {
   const std::size_t rem = total % nseg;
   struct Seg {
     Packet pkt;
+    Flow* flow;
     std::int64_t rto_ns;
   };
   std::vector<Seg> segs;
@@ -430,7 +482,7 @@ void Fabric::send_striped(Packet&& packet) {
     OBS_ASYNC_BEGIN(src, "fabric.inflight", "fabric",
                     flow_trace_id(src, dst, seg.flow.rail, seg.flow.seq),
                     seg.flow.seq);
-    segs.push_back({std::move(seg), rto});
+    segs.push_back({std::move(seg), &f, rto});
   }
   // Rails are parallel paths: the sending thread pays the occupancy of its
   // busiest rail once, not the sum — that is the whole point of striping.
@@ -439,35 +491,33 @@ void Fabric::send_striped(Packet&& packet) {
   base::precise_delay(max_occupancy);
   const std::int64_t arrival = base::now_ns() + cost_.wire_latency(same_node);
   for (Seg& s : segs) {
-    const std::uint8_t rail = s.pkt.flow.rail;
     const std::uint64_t seq = s.pkt.flow.seq;
     s.pkt.arrival_ns = arrival;
-    transmit(std::move(s.pkt), /*charge_wire=*/false);
-    arm_entry(src, dst, rail, seq, s.rto_ns);
+    transmit(std::move(s.pkt), /*charge_wire=*/false, s.flow, rev);
+    arm_entry(*s.flow, seq, s.rto_ns);
   }
 }
 
 /// Start (or restart) the RTO clock on a window entry after its transmit
 /// completed. The entry may already be gone — acknowledged while the wire
 /// time was being charged — in which case there is nothing to time.
-void Fabric::arm_entry(Rank src, Rank dst, std::uint8_t rail,
-                       std::uint64_t seq, std::int64_t rto_ns) {
-  Flow& f = flow(src, dst, rail);
+void Fabric::arm_entry(Flow& f, std::uint64_t seq, std::int64_t rto_ns) {
   std::lock_guard lock(f.mu);
-  auto it = f.window.find(seq);
-  if (it == f.window.end()) {
+  Flow::Unacked* entry = f.window.find(seq);
+  if (entry == nullptr) {
     return;
   }
-  it->second.rto_ns = rto_ns;
-  it->second.deadline.arm(base::now_ns(), rto_ns);
-  it->second.armed_pass = pump_passes_.load(std::memory_order_relaxed);
+  entry->rto_ns = rto_ns;
+  entry->deadline.arm(base::now_ns(), rto_ns);
+  entry->armed_pass = pump_passes_.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
 // Wire + receive path
 // ---------------------------------------------------------------------------
 
-bool Fabric::transmit(Packet&& pkt, bool charge_wire) {
+bool Fabric::transmit(Packet&& pkt, bool charge_wire, Flow* rx,
+                      Flow* acked) {
   const std::size_t header = pkt.header_bytes();
   const std::size_t payload = pkt.payload.size();
   const std::size_t sz = header + payload;
@@ -493,7 +543,7 @@ bool Fabric::transmit(Packet&& pkt, bool charge_wire) {
     // threshold. Runs before the drop filter — a packet lost in flight
     // still occupied the link. flow_acks are exempt (unsequenced, and an
     // echo of an echo would be meaningless).
-    if (auto marker = ce_marker_.get(); marker && (*marker)(pkt)) {
+    if (ce_marker_.test(pkt)) {
       pkt.flow.ce = true;
       ecn_marks_.fetch_add(1, std::memory_order_relaxed);
       static const auto ce_counter = base::counter("fabric.ecn_marks");
@@ -501,7 +551,7 @@ bool Fabric::transmit(Packet&& pkt, bool charge_wire) {
       OBS_INSTANT_ON(pkt.src_rank, "fabric.ecn.mark", "fabric", pkt.flow.seq);
     }
   }
-  if (auto filter = drop_filter_.get(); filter && (*filter)(pkt)) {
+  if (drop_filter_.test(pkt)) {
     chaos_dropped_.fetch_add(1, std::memory_order_relaxed);
     bytes_dropped_.fetch_add(sz, std::memory_order_relaxed);
     static const auto chaos_drops_counter =
@@ -512,7 +562,7 @@ bool Fabric::transmit(Packet&& pkt, bool charge_wire) {
   }
   bytes_sent_.fetch_add(sz, std::memory_order_relaxed);
   if (pkt.is_sequenced()) {
-    if (auto filter = reorder_filter_.get(); filter && (*filter)(pkt)) {
+    if (reorder_filter_.test(pkt)) {
       // Reordering injection: hold the packet back one pump tick so later
       // traffic overtakes it on the wire.
       static const auto reorders_counter = base::counter("fabric.reordered");
@@ -522,24 +572,22 @@ bool Fabric::transmit(Packet&& pkt, bool charge_wire) {
       return true;
     }
   }
-  deliver(std::move(pkt));
+  deliver(std::move(pkt), rx, acked);
   return true;
 }
 
-void Fabric::apply_ack(Rank src, Rank dst, std::uint8_t rail,
-                       std::uint64_t cum,
+void Fabric::apply_ack(Flow& f, std::uint64_t cum,
                        const std::vector<std::uint64_t>& sack, bool ece,
                        bool is_explicit) {
-  Flow& f = flow(src, dst, rail);
+  [[maybe_unused]] const Rank src = f.src;
+  [[maybe_unused]] const Rank dst = f.dst;
+  [[maybe_unused]] const std::uint8_t rail = f.rail;
   std::lock_guard lock(f.mu);
-  std::uint64_t newly_acked = 0;
-  auto stop = f.window.upper_bound(cum);
-  for (auto it = f.window.begin(); it != stop; ++it) {
-    OBS_ASYNC_END(src, "fabric.inflight", "fabric",
-                  flow_trace_id(src, dst, rail, it->first));
-    ++newly_acked;
-  }
-  f.window.erase(f.window.begin(), stop);
+  std::uint64_t newly_acked =
+      f.window.erase_through(cum, [&]([[maybe_unused]] std::uint64_t seq) {
+        OBS_ASYNC_END(src, "fabric.inflight", "fabric",
+                      flow_trace_id(src, dst, rail, seq));
+      });
   for (std::uint64_t s : sack) {
     if (f.window.erase(s) != 0) {
       OBS_ASYNC_END(src, "fabric.inflight", "fabric",
@@ -597,18 +645,16 @@ void Fabric::apply_ack(Rank src, Rank dst, std::uint8_t rail,
   // path takes over.
   const std::uint64_t upper =
       sack.empty() ? cum + 1 : *std::max_element(sack.begin(), sack.end());
-  for (auto& [seq, entry] : f.window) {
+  f.window.visit([&](std::uint64_t seq, Flow::Unacked& entry) {
     if (seq > upper) {
-      break;
+      return false;
     }
-    if (entry.fast_retx || entry.fast_retxed) {
-      continue;
+    if (!entry.fast_retx && !entry.fast_retxed &&
+        std::find(sack.begin(), sack.end(), seq) == sack.end()) {
+      entry.fast_retx = true;
     }
-    if (std::find(sack.begin(), sack.end(), seq) != sack.end()) {
-      continue;
-    }
-    entry.fast_retx = true;
-  }
+    return true;
+  });
 }
 
 void Fabric::push_to_inbox(Packet&& pkt) {
@@ -617,22 +663,26 @@ void Fabric::push_to_inbox(Packet&& pkt) {
   ep.inbox_.push(std::move(pkt));
 }
 
-void Fabric::deliver(Packet&& pkt) {
+void Fabric::deliver(Packet&& pkt, Flow* rx, Flow* acked) {
   // Any packet X->Y carrying an ACK acknowledges the reverse flow (Y->X):
   // explicit flow_acks name their rail and may echo ECN; piggybacked
   // cumulative ACKs on data packets always describe the rail-0 reverse
   // flow and never drive dup-ack counting.
   if (pkt.kind == PacketKind::flow_ack) {
-    apply_ack(pkt.dst_rank, pkt.src_rank, pkt.flow.rail, pkt.flow.ack,
-              pkt.sack, pkt.flow.ece, /*is_explicit=*/true);
+    apply_ack(acked != nullptr
+                  ? *acked
+                  : flow(pkt.dst_rank, pkt.src_rank, pkt.flow.rail),
+              pkt.flow.ack, pkt.sack, pkt.flow.ece, /*is_explicit=*/true);
     return;  // fabric-internal: never reaches the inbox
   }
   if (pkt.flow.ack > 0) {
-    apply_ack(pkt.dst_rank, pkt.src_rank, /*rail=*/0, pkt.flow.ack, {},
-              /*ece=*/false, /*is_explicit=*/false);
+    apply_ack(acked != nullptr ? *acked
+                               : flow(pkt.dst_rank, pkt.src_rank, /*rail=*/0),
+              pkt.flow.ack, {}, /*ece=*/false, /*is_explicit=*/false);
   }
 
-  Flow& f = flow(pkt.src_rank, pkt.dst_rank, pkt.flow.rail);
+  Flow& f =
+      rx != nullptr ? *rx : flow(pkt.src_rank, pkt.dst_rank, pkt.flow.rail);
   {
     std::lock_guard lock(f.mu);
     // Remember a CE mark until the next flow_ack echoes it (ECE) back to
@@ -761,7 +811,8 @@ void Fabric::flush_ack(Flow& f) {
                   sack_ranges);
   // ACK wire time is not charged: ACKs model piggybacked / NIC-offloaded
   // reverse traffic, keeping the pump from serializing behind wire delays.
-  transmit(std::move(ack), /*charge_wire=*/false);
+  transmit(std::move(ack), /*charge_wire=*/false, /*rx=*/nullptr,
+           /*acked=*/&f);
 }
 
 void Fabric::escalate_unreachable(Rank dst) {
@@ -830,7 +881,7 @@ bool Fabric::pump_pass() {
         continue;
       }
       bool rto_fired = false;
-      for (auto& [seq, entry] : f.window) {
+      f.window.visit([&](std::uint64_t seq, Flow::Unacked& entry) {
         if (entry.fast_retx) {
           // Dup-ack verdict from apply_ack: retransmit now — no RTO wait,
           // no backoff doubling, no retry charge (fast retransmit is
@@ -839,7 +890,7 @@ bool Fabric::pump_pass() {
           entry.fast_retxed = true;
           entry.deadline.arm_never();
           to_retransmit.push_back({entry.pkt, seq, entry.rto_ns, true});
-          continue;
+          return true;
         }
         // Expiry needs the wall RTO AND two completed passes since the
         // entry was (re)armed: every pass flushes every flow's ACKs, so
@@ -847,11 +898,11 @@ bool Fabric::pump_pass() {
         // erased by now — what's left is genuinely lost, not merely
         // waiting on a starved pump.
         if (!entry.deadline.expired(now) || pass < entry.armed_pass + 2) {
-          continue;
+          return true;
         }
         if (entry.retries >= rel_.max_retries) {
           escalate = true;
-          break;
+          return false;
         }
         ++entry.retries;
         entry.rto_ns = std::min(entry.rto_ns * 2, rel_.rto_cap_ns);
@@ -860,7 +911,8 @@ bool Fabric::pump_pass() {
         entry.deadline.arm_never();
         to_retransmit.push_back({entry.pkt, seq, entry.rto_ns, false});
         rto_fired = true;
-      }
+        return true;
+      });
       if (rto_fired && !f.cc.unlimited()) {
         // One window collapse per pass, however many entries expired —
         // they are all the same loss episode (CcState guards besides).
@@ -882,13 +934,11 @@ bool Fabric::pump_pass() {
         // duplicate ahead of the original.
         const std::int64_t tlp_ns = std::max<std::int64_t>(
             2 * rel_.tick_ns, rel_.rto_base_ns / 8);
-        auto& last = *std::prev(f.window.end());
-        if (now - f.last_progress_ns >= tlp_ns &&
-            !last.second.deadline.parked()) {
+        const auto [last_seq, last] = f.window.last();
+        if (now - f.last_progress_ns >= tlp_ns && !last->deadline.parked()) {
           f.tlp_fired = true;
-          to_retransmit.push_back(
-              {last.second.pkt, last.first, last.second.rto_ns,
-               /*fast=*/false, /*tlp=*/true});
+          to_retransmit.push_back({last->pkt, last_seq, last->rto_ns,
+                                   /*fast=*/false, /*tlp=*/true});
         }
       }
       busy = busy || !f.window.empty() || !f.reorder.empty() ||
@@ -948,7 +998,7 @@ bool Fabric::pump_pass() {
     if (!item.tlp) {
       // A probe is speculative: the original RTO keeps running so a lost
       // probe costs nothing extra. Real retransmits restart the clock.
-      arm_entry(s, d, rail, item.seq, item.rto_ns);
+      arm_entry(flow(s, d, rail), item.seq, item.rto_ns);
     }
   }
 

@@ -28,6 +28,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <optional>
@@ -36,13 +37,18 @@
 #include "sessmpi/base/cost_model.hpp"
 #include "sessmpi/base/error.hpp"
 #include "sessmpi/base/inbox.hpp"
+#include "sessmpi/base/ring_queue.hpp"
 #include "sessmpi/base/topology.hpp"
 #include "sessmpi/fabric/cc.hpp"
 #include "sessmpi/fabric/packet.hpp"
 
 namespace sessmpi::fabric {
 
-class Endpoint {
+/// One per rank, each on its own cache lines: senders lock and fill a
+/// peer's inbox while its owner polls it, and endpoints allocated back to
+/// back otherwise put one rank's delivered_ count beside the next rank's
+/// inbox mutex (EXPERIMENTS.md, "Lean per-message path").
+class alignas(64) Endpoint {
  public:
   base::Inbox<Packet>& inbox() noexcept { return inbox_; }
 
@@ -83,9 +89,10 @@ struct ReliabilityConfig {
 /// traffic is in flight. Readers copy the shared_ptr so an in-progress
 /// filter call survives a concurrent swap. Guarded by a mutex rather than
 /// std::atomic<std::shared_ptr>: libstdc++'s lock-bit _Sp_atomic trips
-/// ThreadSanitizer (the CI TSan job runs these suites), and the two
-/// pointer ops in the critical section are invisible next to the modeled
-/// wire time.
+/// ThreadSanitizer (the CI TSan job runs these suites). Every sequenced
+/// packet consults three slots and almost all runs install none, so an
+/// empty slot answers from one atomic load without the lock or the
+/// reference-count traffic.
 class FilterSlot {
  public:
   using Filter = std::function<bool(const Packet&)>;
@@ -94,15 +101,28 @@ class FilterSlot {
     auto next =
         f ? std::make_shared<const Filter>(std::move(f)) : nullptr;
     std::lock_guard lock(mu_);
+    installed_.store(next != nullptr, std::memory_order_release);
     ptr_ = std::move(next);
   }
-  [[nodiscard]] std::shared_ptr<const Filter> get() const {
-    std::lock_guard lock(mu_);
-    return ptr_;
+  [[nodiscard]] bool installed() const noexcept {
+    return installed_.load(std::memory_order_acquire);
+  }
+  /// True when a filter is installed and returns true for `pkt`.
+  [[nodiscard]] bool test(const Packet& pkt) const {
+    if (!installed()) {
+      return false;
+    }
+    std::shared_ptr<const Filter> f;
+    {
+      std::lock_guard lock(mu_);
+      f = ptr_;
+    }
+    return f && (*f)(pkt);
   }
 
  private:
   mutable std::mutex mu_;
+  std::atomic<bool> installed_{false};
   std::shared_ptr<const Filter> ptr_;
 };
 
@@ -162,6 +182,12 @@ class Fabric {
   /// multiplicative decrease without waiting for loss (DESIGN.md §17).
   /// Same mid-run swap guarantees as the chaos filters.
   void set_ce_marker(PacketFilter marker);
+  /// True while a CE marker is installed. The sim installs none when its
+  /// cost model charges no inter-node wire occupancy: no backlog can build,
+  /// so the marker could never fire.
+  [[nodiscard]] bool has_ce_marker() const noexcept {
+    return ce_marker_.installed();
+  }
 
   /// The congestion/striping policy this fabric resolved at construction.
   [[nodiscard]] const CcConfig& cc_config() const noexcept { return cc_; }
@@ -271,7 +297,67 @@ class Fabric {
       /// and its ACK simply hasn't been pumped yet.
       std::uint64_t armed_pass = 0;
     };
-    std::map<std::uint64_t, Unacked> window;
+    /// The unacked entries, keyed by flow seq. Seqs are windowed
+    /// contiguously (next_seq++), a cumulative ack retires a prefix and a
+    /// SACK retires single entries, so the entries live in a ring indexed
+    /// by seq - first seq, with a retired mark for SACK holes: windowing
+    /// and retiring reuse the ring's storage instead of a map node each.
+    class Window {
+     public:
+      [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+      [[nodiscard]] std::size_t size() const noexcept { return live_; }
+      /// A fresh entry for `seq`, the flow's next sequence number.
+      Unacked& add(std::uint64_t seq);
+      [[nodiscard]] Unacked* find(std::uint64_t seq) noexcept;
+      /// Retire `seq`; false when it is not in the window.
+      bool erase(std::uint64_t seq);
+      /// Retire every entry with seq <= cum, calling on_retire(seq) for
+      /// each; returns how many there were.
+      template <class Fn>
+      std::uint64_t erase_through(std::uint64_t cum, Fn&& on_retire) {
+        std::uint64_t n = 0;
+        while (!ring_.empty() && first_ <= cum) {
+          if (ring_.front().live) {
+            on_retire(first_);
+            ++n;
+            --live_;
+          }
+          ring_.pop_front();
+          ++first_;
+        }
+        pop_retired();
+        return n;
+      }
+      void clear() {
+        ring_.clear();
+        live_ = 0;
+      }
+      /// Visit the entries in seq order while fn(seq, entry) returns true.
+      template <class Fn>
+      void visit(Fn&& fn) {
+        for (std::size_t i = 0; i < ring_.size(); ++i) {
+          Slot& s = ring_[i];
+          if (s.live && !fn(first_ + i, s.entry)) {
+            return;
+          }
+        }
+      }
+      /// The highest-seq entry and its seq (the window must not be empty).
+      std::pair<std::uint64_t, Unacked*> last() noexcept;
+
+     private:
+      struct Slot {
+        Unacked entry;
+        bool live = false;
+      };
+      /// Drop retired slots at the front, so the front is always live.
+      void pop_retired();
+
+      base::RingQueue<Slot> ring_;
+      std::uint64_t first_ = 0;  ///< seq of ring_.front()
+      std::size_t live_ = 0;
+    };
+    Window window;
     /// Wall clock of the last forward progress on the tx side — a newly
     /// windowed packet or an ack that retired one. The tail-loss probe
     /// timer (adaptive engines only) measures silence from here.
@@ -307,12 +393,18 @@ class Fabric {
 
   /// Put `pkt` on the wire: charge the cost model on the calling thread,
   /// apply failure/chaos/reorder filters, and deliver on survival. Returns
-  /// true when the packet reached the destination's receive path.
-  bool transmit(Packet&& pkt, bool charge_wire);
+  /// true when the packet reached the destination's receive path. `rx` and
+  /// `acked` are the flows delivery touches, passed by a caller that has
+  /// already resolved them so a message costs no further table lookups:
+  /// `rx` is the packet's own (src,dst,rail) flow, `acked` the flow its ACK
+  /// retires ((dst,src,0) for a piggyback, the named flow for a flow_ack).
+  /// nullptr means "look it up" (pump retransmits, held packets).
+  bool transmit(Packet&& pkt, bool charge_wire, Flow* rx = nullptr,
+                Flow* acked = nullptr);
   /// Receiver-side processing on the destination's behalf: consume ACK
   /// state, dedup/reorder sequenced packets, push deliverables to the
-  /// inbox.
-  void deliver(Packet&& pkt);
+  /// inbox. `rx`/`acked` as for transmit.
+  void deliver(Packet&& pkt, Flow* rx = nullptr, Flow* acked = nullptr);
   void push_to_inbox(Packet&& pkt);
   /// In-order release of one sequenced packet at the receiver: striped
   /// segments feed the reassembly table, everything else goes straight to
@@ -321,11 +413,11 @@ class Fabric {
   /// Merge a striped segment; pushes the logical message to the inbox once
   /// all its segments arrived.
   void reassemble(Packet&& seg);
-  /// Apply a cumulative + selective ACK to the (src,dst,rail) sender
-  /// window. `ece` echoes a CE mark; `is_explicit` distinguishes flow_acks
-  /// (which drive dup-ack counting) from piggybacked data acks (which must
-  /// not — data arrival order says nothing about ack duplication).
-  void apply_ack(Rank src, Rank dst, std::uint8_t rail, std::uint64_t cum,
+  /// Apply a cumulative + selective ACK to sender window `f`. `ece` echoes
+  /// a CE mark; `is_explicit` distinguishes flow_acks (which drive dup-ack
+  /// counting) from piggybacked data acks (which must not — data arrival
+  /// order says nothing about ack duplication).
+  void apply_ack(Flow& f, std::uint64_t cum,
                  const std::vector<std::uint64_t>& sack, bool ece,
                  bool is_explicit);
   /// Block (cooperatively) until flow `f` has congestion window room, then
@@ -336,8 +428,7 @@ class Fabric {
   void send_striped(Packet&& packet);
   /// Start the RTO clock on window entry `seq` after its transmit returned
   /// (no-op when the entry was acknowledged mid-wire).
-  void arm_entry(Rank src, Rank dst, std::uint8_t rail, std::uint64_t seq,
-                 std::int64_t rto_ns);
+  void arm_entry(Flow& f, std::uint64_t seq, std::int64_t rto_ns);
   /// Emit one flow_ack for `f` if it has unacknowledged deliveries. ACK
   /// wire time is not charged: ACKs model piggybacked / NIC-offloaded
   /// reverse traffic (DESIGN.md §9).
@@ -356,7 +447,10 @@ class Fabric {
   /// creation off a single global lock. Values are heap-owned so Flow*
   /// stays stable across rehashes.
   static constexpr std::size_t kFlowShards = 64;
-  struct FlowShard {
+  /// Cache-line aligned: a send locks the shards of its forward and
+  /// reverse flows, and packed 96-byte shards put one shard's mutex on the
+  /// same line as its neighbour's map.
+  struct alignas(64) FlowShard {
     mutable std::mutex mu;
     std::unordered_map<std::uint64_t, std::unique_ptr<Flow>> flows;
   };

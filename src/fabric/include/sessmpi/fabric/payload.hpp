@@ -125,7 +125,13 @@ class Payload {
                : reinterpret_cast<std::byte*>(hdr_) + sizeof(Header) + off_;
   }
 
-  void release() noexcept;
+  void release() noexcept {
+    if (hdr_ != nullptr) {
+      drop_ref();
+    }
+  }
+  /// Drop this handle's reference; the last one returns the slab.
+  void drop_ref() noexcept;
 
   Header* hdr_ = nullptr;
   std::size_t size_ = 0;

@@ -37,10 +37,7 @@ void Payload::resize(std::size_t n) {
   off_ = 0;
 }
 
-void Payload::release() noexcept {
-  if (hdr_ == nullptr) {
-    return;
-  }
+void Payload::drop_ref() noexcept {
   if (hdr_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     const std::size_t block_capacity = sizeof(Header) + hdr_->capacity;
     hdr_->~Header();

@@ -84,7 +84,7 @@ void send_or_lose(detail::ProcState& ps,
                   const std::shared_ptr<detail::CommState>& s,
                   const std::uint64_t* value, int dst, int tag) {
   try {
-    ps.isend_impl(s, value, 1, datatype_of<std::uint64_t>(), dst, tag,
+    ps.isend_impl(*s, value, 1, datatype_of<std::uint64_t>(), dst, tag,
                   /*sync=*/false);
   } catch (const Error& e) {
     if (e.error_class() != ErrClass::rte_proc_failed) {
@@ -159,7 +159,7 @@ std::uint64_t Communicator::agree(std::uint64_t contribution) const {
   // Persistent watcher: any decider may flood the result at any time.
   std::uint64_t flooded = 0;
   detail::RequestPtr result_any = ps.irecv_impl(
-      s, &flooded, 1, datatype_of<std::uint64_t>(), any_source, tag_result);
+      *s, &flooded, 1, datatype_of<std::uint64_t>(), any_source, tag_result);
   cleanup.push_back(result_any);
 
   std::uint64_t decided = contribution;
@@ -182,7 +182,7 @@ std::uint64_t Communicator::agree(std::uint64_t contribution) const {
           continue;
         }
         recvs[static_cast<std::size_t>(r)] =
-            ps.irecv_impl(s, &contribs[static_cast<std::size_t>(r)], 1,
+            ps.irecv_impl(*s, &contribs[static_cast<std::size_t>(r)], 1,
                           datatype_of<std::uint64_t>(), r, tag_contrib);
         cleanup.push_back(recvs[static_cast<std::size_t>(r)]);
       }
@@ -217,7 +217,7 @@ std::uint64_t Communicator::agree(std::uint64_t contribution) const {
     send_or_lose(ps, s, &contribution, coord, tag_contrib);
     hook(ft::AgreeStep::follower_post_push, me);
     std::uint64_t watched = 0;
-    detail::RequestPtr watch = ps.irecv_impl(s, &watched, 1,
+    detail::RequestPtr watch = ps.irecv_impl(*s, &watched, 1,
                                              datatype_of<std::uint64_t>(),
                                              coord, tag_result);
     cleanup.push_back(watch);

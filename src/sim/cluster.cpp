@@ -54,11 +54,18 @@ Cluster::Cluster(Options opts)
   fabric_.set_unreachable_callback(
       [this](Rank r) { dvm_.pmix().notify_proc_failed(r); });
   // ECN: charge every sequenced inter-node packet against a modeled link
-  // and mark CE once the backlog crosses the threshold (DESIGN.md §17).
+  // and mark CE once the backlog crosses the threshold (DESIGN.md §17). A
+  // cost model that charges inter-node packets no wire occupancy (even a
+  // 1 TiB one; CostModel::zero()) never builds a backlog, so its marker
+  // could never fire: install none rather than lock the link table on
+  // every packet for nothing.
   const std::int64_t ecn_threshold =
       opts.ecn_threshold_ns ? *opts.ecn_threshold_ns
                             : fabric::ecn_threshold_ns_from_cvars();
-  if (ecn_threshold > 0 && opts.topo.num_nodes > 1) {
+  const bool links_can_queue =
+      opts.cost.wire_occupancy(/*same_node=*/false, std::size_t{1} << 40,
+                               std::size_t{1} << 10) > 0;
+  if (ecn_threshold > 0 && opts.topo.num_nodes > 1 && links_can_queue) {
     link_load_ = std::make_unique<LinkLoad>();
     fabric_.set_ce_marker(
         make_ce_marker(*link_load_, opts.topo, opts.cost, ecn_threshold));
